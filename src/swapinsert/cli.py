@@ -8,6 +8,7 @@ replayable in order.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -404,8 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    # building the parser costs far more than parsing one command line, and
+    # parse_args leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
         parser.error("a subcommand is required")

@@ -12,18 +12,22 @@ the target head to a leftward swap move.
 States are memoized under a compressed reversible key (StateCodec).
 Instances whose per-symbol imbalance is zero everywhere never branch, so
 they run as a plain scan with no memo at all; that is what makes the
-equal-length, swap-only case effectively linear.
+equal-length, swap-only case effectively linear.  The scan keeps running
+prefix counts and visits only nonzero counters, so no step of it costs
+O(d); only the memoized DP reads prefix-count rows, built per code.
 
 Evaluation uses an explicit work stack instead of native recursion: the
 reduction depth grows with n + m and would overflow the interpreter
 stack on large inputs.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cost import Cost
-from .indexing import IndexedString, build_alphabet, index_string
+from .indexing import IndexedString, build_alphabet, index_string, rank
 from .scripts import Delete, Insert, Script, Swap
 
 State = Tuple[int, int, Tuple[int, ...]]
@@ -82,13 +86,40 @@ def _check_common_alphabet(a: IndexedString, b: IndexedString) -> None:
         raise ValueError("source and target must be indexed over a common alphabet map")
 
 
+class _PrefixRows(dict):
+    """Prefix-count rows of one indexed string, each built on first use.
+
+    ``rows[code - 1][i]`` is the number of occurrences of ``code`` among
+    the first i symbols.  A row costs O(n), so rows exist only for the
+    codes that are actually queried.
+    """
+
+    __slots__ = ("_indexed",)
+
+    def __init__(self, indexed: IndexedString) -> None:
+        super().__init__()
+        self._indexed = indexed
+
+    def __missing__(self, idx: int) -> List[int]:
+        occ = self._indexed.select_table[idx]
+        # a row is flat runs of each prefix count, one run per gap
+        bounds = [0] + occ
+        gaps = [b - a for a, b in zip(bounds, bounds[1:])]
+        gaps.append(len(self._indexed) + 1 - bounds[-1])
+        row = list(chain.from_iterable(map(repeat, range(len(occ) + 1), gaps)))
+        self[idx] = row
+        return row
+
+
 class StateCodec:
     """Reversible compression of scan states for one (source, target) pair.
 
     Symbol codes are reordered so imbalanced codes come first with growing
     imbalance; balanced codes carry no key information, which is what
-    keeps the key space within the adaptive bound.  Both directions run
-    in O(d).
+    keeps the key space within the adaptive bound.  ``encode`` visits only
+    the s key slots (all d when every code is imbalanced) and reads
+    ``source_rows`` / ``target_rows``, prefix-count rows built per code on
+    first use.  ``decode`` runs in O(d log n).
     """
 
     def __init__(self, source: IndexedString, target: IndexedString) -> None:
@@ -114,6 +145,11 @@ class StateCodec:
         self.use_counter = tuple(
             na <= ma - na for na, ma in zip(self.n_counts, self.m_counts)
         )
+        # 0-based codes in slot order; the first s are the key slots
+        self._slot_codes = tuple(a - 1 for a in self.reordering)
+        self._key_codes = self._slot_codes[:self.s]
+        self.source_rows = _PrefixRows(source)
+        self.target_rows = _PrefixRows(target)
 
     def encode(self, i: int, j: int, c: Sequence[int]) -> StateKey:
         """Pack a reachable state (i, j, c) into its key."""
@@ -122,28 +158,27 @@ class StateCodec:
             raise ValueError(f"counter vector must have {d} entries")
         if not 1 <= i <= self.n + 1 or not 1 <= j <= self.m + 1:
             raise ValueError(f"state ({i}, {j}) outside the scan range")
-        rank_s = self.source.rank_table
-        rank_l = self.target.rank_table
-        use_counter = self.use_counter
-        xs = [0] * d
-        for idx in range(d):
-            if use_counter[idx]:
-                xs[idx] = c[idx]
-            else:
-                xs[idx] = rank_l[idx][j - 1] - rank_s[idx][i - 1] - c[idx]
-        order = self.reordering
         if self.full:
-            p = None
-            for slot in range(d):
-                if c[order[slot] - 1] == 0:
-                    p = slot + 1
+            slots = self._slot_codes
+            for p, idx in enumerate(slots, 1):
+                if c[idx] == 0:
                     break
-            if p is None:
+            else:
                 raise ValueError("no zero counter: state is not reachable")
-            r = tuple(xs[order[slot] - 1] for slot in range(d) if slot != p - 1)
+            codes = slots[:p - 1] + slots[p:]
         else:
             p = None
-            r = tuple(xs[order[slot] - 1] for slot in range(self.s))
+            codes = self._key_codes
+        use_counter = self.use_counter
+        rows_s = self.source_rows
+        rows_l = self.target_rows
+        xs = []
+        for idx in codes:
+            if use_counter[idx]:
+                xs.append(c[idx])
+            else:
+                xs.append(rows_l[idx][j - 1] - rows_s[idx][i - 1] - c[idx])
+        r = tuple(xs)
         return StateKey(p, i, (j - i) - sum(r), r)
 
     def decode(self, key: StateKey) -> State:
@@ -173,13 +208,10 @@ class StateCodec:
         else:
             for slot in range(self.s):
                 xs[order[slot] - 1] = key.r[slot]
-        rank_s = self.source.rank_table
-        rank_l = self.target.rank_table
         c = [0] * d
         i = key.i
         for idx in range(d):
             x = xs[idx]
-            q = rank_l[idx][j - 1] - rank_s[idx][i - 1]
             if x is None:
                 ca = 0
             elif x > max(self.g[idx], 0):
@@ -189,7 +221,7 @@ class StateCodec:
             elif self.use_counter[idx]:
                 ca = x
             else:
-                ca = q - x
+                ca = rank(self.target, j - 1, idx + 1) - rank(self.source, i - 1, idx + 1) - x
             if not 0 <= ca <= self.n_counts[idx]:
                 raise MalformedStateKey(f"counter {ca} for code {idx + 1} out of range")
             c[idx] = ca
@@ -255,23 +287,24 @@ class _Computation:
         moves = []
         idx = b - 1
         cb = c[idx]
-        rank_s = source.rank_table
-        row_b = rank_s[idx]
-        if cb == 0:
-            # inserting b keeps the child feasible only while the target
-            # still needs more b's than the source suffix can supply
-            row_lb = target.rank_table[idx]
-            if row_b[self.n] - row_b[i - 1] < row_lb[self.m] - row_lb[j - 1]:
-                moves.append(("insert", 1, (i, j + 1, c)))
+        rows_s = self.codec.source_rows
+        # b's before position i; position i itself holds a != b
+        before = rows_s[idx][i]
+        # inserting b keeps the child feasible only while the free source
+        # b's (those of the suffix not yet spoken for) fall short of the
+        # target b's still needed
+        if (source.per_symbol_count[idx] - before - cb
+                < target.per_symbol_count[idx] - self.codec.target_rows[idx][j - 1]):
+            moves.append(("insert", 1, (i, j + 1, c)))
         occurrences = source.select_table[idx]
-        kth = row_b[i] + cb + 1
+        kth = before + cb + 1
         if kth <= len(occurrences):
             r = occurrences[kth - 1]
             ignored_before = 0
-            for t in range(self.codec.d):
-                ct = c[t]
+            for t, ct in enumerate(c):
                 if ct:
-                    inside = rank_s[t][r] - rank_s[t][i - 1]
+                    row_t = rows_s[t]
+                    inside = row_t[r] - row_t[i - 1]
                     ignored_before += ct if ct < inside else inside
             raised = list(c)
             raised[idx] += 1
@@ -326,78 +359,94 @@ class _Computation:
                     stack.append((False, child, None, None))
         return memo[encode(*start)]
 
-    def _solve_chain(self, start: State) -> Optional[int]:
+    def _solve_chain(self, ops: Optional[List] = None) -> Optional[int]:
         # With no imbalanced symbol at most one rule ever applies, so the
-        # whole evaluation is one forward scan and needs no memo.
+        # whole evaluation is one forward scan and needs no memo.  Prefix
+        # counts advance with the scan, and a swap visits only the nonzero
+        # counters, so no step costs O(d).  Given ``ops``, the scan also
+        # appends the script operations it decides.  Positions p and q
+        # are 0-based (state (p + 1, q + 1, c)); lists are indexed by code.
         n, m, d = self.n, self.m, self.codec.d
         s_syms = self.source.symbols
         l_syms = self.target.symbols
-        rank_s = self.source.rank_table
-        rank_l = self.target.rank_table
-        select_s = self.source.select_table
-        counts_s = self.source.per_symbol_count
-        counts_l = self.target.per_symbol_count
-        record = self.states
-        i, j, c_tuple = start
-        c = list(c_tuple)
-        remaining = sum(c)
+        select_s = [()] + self.source.select_table
+        counts_s = [0] + self.source.per_symbol_count
+        counts_l = [0] + self.target.per_symbol_count
+        raw_of = self.source.alphabet.raw_of
+        record = self.states if ops is None else None
+        c = [0] * (d + 1)
+        live = set()  # codes with a nonzero counter
+        # occurrences of each code before source position p / target position q
+        before_s = [0] * (d + 1)
+        before_l = [0] * (d + 1)
+        p = q = 0
+        remaining = 0
         total = 0
         while True:
             if record is not None:
-                record.append((i, j, tuple(c)))
-            if i == n + 1:
-                return total + (m - j + 1) if remaining == 0 else None
-            if j == m + 1:
-                return total if remaining == n - i + 1 else None
-            a = s_syms[i - 1]
-            ca = c[a - 1]
-            if ca > 0:
-                c[a - 1] = ca - 1
+                record.append((p + 1, q + 1, tuple(c[1:])))
+            if p == n:
+                if remaining:
+                    return None
+                if ops is not None:
+                    ops.extend(Insert(pos, raw_of(l_syms[pos - 1])) for pos in range(q + 1, m + 1))
+                return total + (m - q)
+            if q == m:
+                return total if remaining == n - p else None
+            a = s_syms[p]
+            ca = c[a]
+            if ca:
+                c[a] = ca - 1
+                if ca == 1:
+                    live.discard(a)
                 remaining -= 1
-                i += 1
+                before_s[a] += 1
+                p += 1
                 continue
-            b = l_syms[j - 1]
+            b = l_syms[q]
             if a == b:
-                i += 1
-                j += 1
+                before_s[a] += 1
+                before_l[a] += 1
+                p += 1
+                q += 1
                 continue
-            idx = b - 1
-            cb = c[idx]
-            row_b = rank_s[idx]
-            insert_ok = False
-            if cb == 0:
-                insert_ok = (counts_s[idx] - row_b[i - 1]
-                             < counts_l[idx] - rank_l[idx][j - 1])
-            occurrences = select_s[idx]
-            kth = row_b[i] + cb + 1
+            cb = c[b]
+            before = before_s[b]
+            occurrences = select_s[b]
+            kth = before + cb + 1
             if kth <= len(occurrences):
-                if insert_ok:
+                # the insert test of _moves: with zero imbalance the free
+                # source b's never fall short, so only the swap is open
+                if counts_s[b] - before - cb < counts_l[b] - before_l[b]:
                     raise RuntimeError(
                         "branching state reached in a zero-imbalance instance"
                     )
                 r = occurrences[kth - 1]
                 ignored_before = 0
-                if remaining:
-                    for t in range(d):
-                        ct = c[t]
-                        if ct:
-                            inside = rank_s[t][r] - rank_s[t][i - 1]
-                            ignored_before += ct if ct < inside else inside
-                total += (r - i) - ignored_before
-                c[idx] = cb + 1
+                for t in live:
+                    ct = c[t]
+                    inside = bisect_right(select_s[t], r) - before_s[t]
+                    ignored_before += ct if ct < inside else inside
+                edge = (r - p - 1) - ignored_before
+                if ops is not None:
+                    ops.extend(Swap(pos) for pos in range(q + edge, q, -1))
+                total += edge
+                c[b] = cb + 1
+                live.add(b)
                 remaining += 1
-                j += 1
-            elif insert_ok:
-                total += 1
-                j += 1
             else:
-                return None
+                # no free b is left in the source while the target still
+                # needs this one, so the insert test holds
+                if ops is not None:
+                    ops.append(Insert(q + 1, raw_of(b)))
+                total += 1
+            before_l[b] += 1
+            q += 1
 
     def solve(self) -> Optional[int]:
-        start = (1, 1, (0,) * self.codec.d)
         if self.memo is None:
-            return self._solve_chain(start)
-        return self._solve_memoized(start)
+            return self._solve_chain()
+        return self._solve_memoized((1, 1, (0,) * self.codec.d))
 
     def reconstruct(self) -> Script:
         """Rebuild one optimal script by replaying decisions off the memo.
@@ -405,14 +454,18 @@ class _Computation:
         Target positions are produced left to right; a swap commitment of
         the source occurrence at position r becomes an immediate run of
         adjacent swaps walking it down to the boundary.  Ties between the
-        insert and swap branches go to the insertion.
+        insert and swap branches go to the insertion.  Without a memo the
+        chain scan runs again and records its own decisions.
         """
+        ops: List = []
+        memo = self.memo
+        if memo is None:
+            self._solve_chain(ops)
+            return Script(tuple(ops))
         raw_of = self.source.alphabet.raw_of
         l_syms = self.target.symbols
-        memo = self.memo
-        encode = self.codec.encode if memo is not None else None
+        encode = self.codec.encode
         n, m = self.n, self.m
-        ops: List = []
         i, j, c = 1, 1, (0,) * self.codec.d
         while True:
             if i == n + 1:

@@ -1,11 +1,16 @@
-"""Dense alphabet coding plus O(1) rank/select/count queries over strings.
+"""Dense alphabet coding plus rank/select/count queries over strings.
+
+An index takes O(n) space for any alphabet size: it keeps, per code, the
+sorted positions of that code's occurrences.  ``select`` reads them in
+O(1); ``rank`` and ``count`` bisect them in O(log n).
 
 Symbol codes live in [1..d] and string positions are 1-based everywhere.
 Maps and indexes are immutable after construction and safe to share
 between threads and computations.
 """
 
-from itertools import chain, repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 MAX_ALPHABET = 1 << 16
@@ -47,9 +52,8 @@ class AlphabetMap:
         return self.external_symbols[code - 1]
 
     def encode(self, raw: Sequence) -> Tuple[int, ...]:
-        codes = self._codes
         try:
-            return tuple(codes[sym] for sym in raw)
+            return tuple(map(self._codes.__getitem__, raw))
         except KeyError as exc:
             raise UnknownSymbol(f"symbol {exc.args[0]!r} has no code") from None
 
@@ -75,33 +79,21 @@ def build_alphabet(source: Sequence, target: Sequence) -> AlphabetMap:
 
 
 class IndexedString:
-    """A coded string with prefix-count and occurrence-position tables.
+    """A coded string with its per-code occurrence positions.
 
-    ``rank_table`` holds exactly d rows of length len+1; the row for code
-    a gives the number of a's in every prefix.  ``select_table`` lists,
-    per code, the 1-based positions of its occurrences in order.
+    ``select_table`` lists, per code, the 1-based positions of its
+    occurrences in order, so the whole index holds n positions however
+    large the alphabet is.
     """
 
-    __slots__ = ("alphabet", "symbols", "rank_table", "select_table", "per_symbol_count")
+    __slots__ = ("alphabet", "symbols", "select_table", "per_symbol_count")
 
     def __init__(self, symbols: Tuple[int, ...], alphabet: AlphabetMap) -> None:
         self.alphabet = alphabet
         self.symbols = symbols
-        n = len(symbols)
-        d = alphabet.d
-        positions: List[List[int]] = [[] for _ in range(d)]
+        positions: List[List[int]] = [[] for _ in range(alphabet.d)]
         for pos, code in enumerate(symbols, 1):
             positions[code - 1].append(pos)
-        rank_rows: List[List[int]] = []
-        for occ in positions:
-            # a row is flat runs of each prefix count, one run per gap
-            bounds = [0] + occ
-            gaps = [b - a for a, b in zip(bounds, bounds[1:])]
-            gaps.append(n + 1 - bounds[-1])
-            rank_rows.append(
-                list(chain.from_iterable(map(repeat, range(len(occ) + 1), gaps)))
-            )
-        self.rank_table = rank_rows
         self.select_table = positions
         self.per_symbol_count = [len(occ) for occ in positions]
 
@@ -129,7 +121,7 @@ def rank(indexed: IndexedString, i: int, code: int) -> int:
         raise ValueError(f"prefix length {i} outside [0..{len(indexed.symbols)}]")
     if not 1 <= code <= indexed.alphabet.d:
         raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
-    return indexed.rank_table[code - 1][i]
+    return bisect_right(indexed.select_table[code - 1], i)
 
 
 def select(indexed: IndexedString, k: int, code: int) -> Optional[int]:
@@ -150,5 +142,5 @@ def count(indexed: IndexedString, i: int, code: int) -> int:
         raise ValueError(f"suffix start {i} outside [1..{len(indexed.symbols) + 1}]")
     if not 1 <= code <= indexed.alphabet.d:
         raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
-    row = indexed.rank_table[code - 1]
-    return row[-1] - row[i - 1]
+    occurrences = indexed.select_table[code - 1]
+    return len(occurrences) - bisect_left(occurrences, i)

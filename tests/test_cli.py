@@ -43,6 +43,17 @@ def test_dist_with_script(capsys):
     assert apply_script("ba", script) == "aab"
 
 
+def test_successive_calls_do_not_share_options(capsys):
+    code, out, _ = run_cli(capsys, "dist", "ba", "aab", "--c-ins", "2", "--script")
+    assert code == 0
+    assert "script:" in out
+    code, out, _ = run_cli(capsys, "dist", "ba", "aab")
+    assert code == 0
+    assert "distance: 2" in out
+    assert "script:" not in out
+    assert "weighted" not in out
+
+
 def test_dist_unreachable_exit_2(capsys):
     code, out, _ = run_cli(capsys, "dist", "aa", "a")
     assert code == 2

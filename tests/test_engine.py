@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from swapinsert import (
@@ -14,7 +16,10 @@ from swapinsert import (
     distance_with_script,
     encode_state,
     feasible,
+    generate_instance,
+    GeneratorSpec,
     index_string,
+    matching_distance,
     memo_bound,
     swap_delete_correction,
     ucs_distance,
@@ -212,6 +217,74 @@ def test_pure_insert_script():
 def test_script_unavailable_when_unreachable():
     with pytest.raises(ScriptUnavailable):
         distance_with_script(*indexed_pair("aa", "a"))
+
+
+def test_insert_offered_while_free_source_symbols_fall_short():
+    # at "ac" vs "cae" one 'a' of the source is already spoken for, so the
+    # free a's cannot supply both remaining target a's: inserting must stay open
+    result = correction_distance("eac", "acae", with_script=True)
+    assert result.distance == Cost.finite(3)
+    assert ucs_distance("eac", "acae") == Cost.finite(3)
+    assert apply_script("eac", result.script) == "acae"
+
+
+def test_random_pairs_up_to_five_symbols_match_matching_oracle():
+    rng = random.Random(1504)
+    for _ in range(2000):
+        alphabet = "abcde"[:rng.randint(3, 5)]
+        n = rng.randint(0, 7)
+        m = rng.randint(n, 7)
+        target = [rng.choice(alphabet) for _ in range(m)]
+        source = "".join(rng.sample(target, n))
+        target = "".join(target)
+        result = correction_distance(source, target, with_script=True)
+        assert result.distance == matching_distance(source, target), (source, target)
+        assert apply_script(source, result.script) == target
+
+
+def _inversions(values):
+    # merge-sort count of pairs i < j with values[i] > values[j]
+    if len(values) < 2:
+        return 0, list(values)
+    mid = len(values) // 2
+    left_count, left = _inversions(values[:mid])
+    right_count, right = _inversions(values[mid:])
+    merged, total, li = [], left_count + right_count, 0
+    for value in right:
+        while li < len(left) and left[li] <= value:
+            merged.append(left[li])
+            li += 1
+        total += len(left) - li
+        merged.append(value)
+    merged.extend(left[li:])
+    return total, merged
+
+
+def test_large_alphabet_zero_imbalance_matches_forced_matching():
+    source, target = generate_instance(
+        GeneratorSpec(d=4096, n=20_000, m=22_000, profile="zero-g", seed=3))
+    amap = build_alphabet(source, target)
+    assert amap.d == 4096
+    # every symbol is absent from the source or fully present, so the k-th
+    # source occurrence of a symbol must become its k-th target occurrence
+    # and the distance is (m - n) plus the inversions of that matching
+    occurrences = {}
+    for pos, sym in enumerate(target):
+        occurrences.setdefault(sym, []).append(pos)
+    seen = {}
+    matched = []
+    for sym in source:
+        matched.append(occurrences[sym][seen.get(sym, 0)])
+        seen[sym] = seen.get(sym, 0) + 1
+    expected = len(target) - len(source) + _inversions(matched)[0]
+
+    comp = _Computation(index_string(source, amap), index_string(target, amap))
+    assert comp.solve() == expected
+    script = comp.reconstruct()
+    assert len(script) == expected
+    assert apply_script(source, script) == target
+    # the chain scan never builds a prefix-count row
+    assert not comp.codec.source_rows and not comp.codec.target_rows
 
 
 def test_insertion_preferred_on_ties():

@@ -116,10 +116,15 @@ def test_count_examples():
         count(indexed, 5, a)
 
 
-def test_table_dimensions_are_exactly_d_by_n_plus_1():
-    indexed, amap = _indexed("abcabc", "abc")
-    assert len(indexed.rank_table) == amap.d == 3
-    assert all(len(row) == len("abcabc") + 1 for row in indexed.rank_table)
+def test_index_holds_one_position_per_symbol():
+    # O(n) for any alphabet: one occurrence list per code, n positions in
+    # all, and no per-code prefix-count row of length n+1
+    wide = "".join(chr(0x4E00 + k) for k in range(5000))
+    for raw, other in (("abcabc", "abc"), ("abcabc", wide)):
+        indexed, amap = _indexed(raw, other)
+        assert len(indexed.select_table) == amap.d
+        assert sum(len(occ) for occ in indexed.select_table) == len(raw)
+    assert not hasattr(indexed, "rank_table")
 
 
 # -- properties -------------------------------------------------------------
