@@ -160,24 +160,14 @@ def _cost_text(cost) -> str:
 
 def _cmd_dist(args, parser) -> int:
     source, target = _resolve_inputs(args, parser)
-    weights = (args.c_ins, args.c_swap)
-    weighted = None
     if args.ops == "swap-delete":
         result = swap_delete_correction(source, target)
-        stats = instance_stats(target, source)
-        if weights != (1, 1) and result.distance.is_finite:
-            alphabet = build_alphabet(target, source)
-            weighted = weighted_distance(
-                index_string(target, alphabet), index_string(source, alphabet),
-                args.c_ins, args.c_swap)
     else:
         result = correction_distance(source, target, with_script=args.script)
-        stats = instance_stats(source, target)
-        if weights != (1, 1):
-            alphabet = build_alphabet(source, target)
-            weighted = weighted_distance(
-                index_string(source, alphabet), index_string(target, alphabet),
-                args.c_ins, args.c_swap)
+    stats = result.stats
+    weighted = None
+    if (args.c_ins, args.c_swap) != (1, 1):
+        weighted = result.weighted_cost(args.c_ins, args.c_swap)
     if args.json:
         report = {
             "command": "dist",

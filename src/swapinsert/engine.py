@@ -16,6 +16,11 @@ equal-length, swap-only case effectively linear.  The scan keeps running
 prefix counts and visits only nonzero counters, so no step of it costs
 O(d); only the memoized DP reads prefix-count rows, built per code.
 
+The pair's difficulty profile (counts, imbalances, memo bound) is the
+``InstanceStats`` defined here.  It is read once per solve off the
+indexes' per-symbol counts and returned as ``EngineResult.stats``; the
+weighted cost is arithmetic on the result (``EngineResult.weighted_cost``).
+
 Evaluation uses an explicit work stack instead of native recursion: the
 reduction depth grows with n + m and would overflow the interpreter
 stack on large inputs.
@@ -27,7 +32,7 @@ from itertools import chain, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cost import Cost
-from .indexing import IndexedString, build_alphabet, index_string, rank
+from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string, rank
 from .scripts import Delete, Insert, Script, Swap
 
 State = Tuple[int, int, Tuple[int, ...]]
@@ -80,10 +85,56 @@ def memo_bound(n: int, g_by_code: Sequence[int], m_by_code: Sequence[int]) -> in
 
 
 def _check_common_alphabet(a: IndexedString, b: IndexedString) -> None:
-    if a.alphabet is b.alphabet:
-        return
-    if a.alphabet.external_symbols != b.alphabet.external_symbols:
+    if a.alphabet != b.alphabet:
         raise ValueError("source and target must be indexed over a common alphabet map")
+
+
+@dataclass(frozen=True)
+class InstanceStats:
+    """Difficulty profile of one (source, target) pair."""
+
+    n: int
+    m: int
+    d: int
+    n_counts: Tuple[int, ...]
+    m_counts: Tuple[int, ...]
+    g_per_symbol: Tuple[int, ...]
+    g: int
+    sigma_plus: Tuple[int, ...]
+    s: int
+    predicted_state_bound: int
+    feasible: bool
+    alphabet: AlphabetMap
+
+    @classmethod
+    def of(cls, source: IndexedString, target: IndexedString) -> "InstanceStats":
+        """Read the profile off the per-symbol counts of an indexed pair."""
+        _check_common_alphabet(source, target)
+        d = source.alphabet.d
+        n_counts = tuple(source.per_symbol_count)
+        m_counts = tuple(target.per_symbol_count)
+        g_per_symbol = tuple(min(na, ma - na) for na, ma in zip(n_counts, m_counts))
+        s = sum(1 for g in g_per_symbol if g > 0)
+        if d and s == d:
+            # every code contributes, except one smallest-imbalance code
+            dropped = min(range(1, d + 1), key=lambda a: (g_per_symbol[a - 1], a))
+            sigma_plus = tuple(a for a in range(1, d + 1) if a != dropped)
+        else:
+            sigma_plus = tuple(a for a in range(1, d + 1) if g_per_symbol[a - 1] > 0)
+        return cls(
+            n=len(source),
+            m=len(target),
+            d=d,
+            n_counts=n_counts,
+            m_counts=m_counts,
+            g_per_symbol=g_per_symbol,
+            g=max(g_per_symbol, default=0),
+            sigma_plus=sigma_plus,
+            s=s,
+            predicted_state_bound=memo_bound(len(source), g_per_symbol, m_counts),
+            feasible=all(na <= ma for na, ma in zip(n_counts, m_counts)),
+            alphabet=source.alphabet,
+        )
 
 
 class _PrefixRows(dict):
@@ -123,27 +174,22 @@ class StateCodec:
     """
 
     def __init__(self, source: IndexedString, target: IndexedString) -> None:
-        _check_common_alphabet(source, target)
+        stats = InstanceStats.of(source, target)
+        if not stats.feasible:
+            raise ValueError("state keys are only defined for feasible pairs")
+        self.stats = stats
         self.source = source
         self.target = target
-        self.n = len(source)
-        self.m = len(target)
-        d = source.alphabet.d
-        self.d = d
-        self.n_counts = tuple(source.per_symbol_count)
-        self.m_counts = tuple(target.per_symbol_count)
-        if any(na > ma for na, ma in zip(self.n_counts, self.m_counts)):
-            raise ValueError("state keys are only defined for feasible pairs")
-        self.g = tuple(min(na, ma - na) for na, ma in zip(self.n_counts, self.m_counts))
+        self.n, self.m, self.d, self.s = stats.n, stats.m, stats.d, stats.s
+        g = stats.g_per_symbol
         self.reordering = tuple(
-            sorted(range(1, d + 1), key=lambda a: (self.g[a - 1] <= 0, self.g[a - 1], a))
+            sorted(range(1, stats.d + 1), key=lambda a: (g[a - 1] <= 0, g[a - 1], a))
         )
-        self.s = sum(1 for g in self.g if g > 0)
         # the dropped-coordinate packing only applies when every code is
         # imbalanced, which presumes a non-empty alphabet
-        self.full = self.s == d and d > 0
+        self.full = self.s == self.d and self.d > 0
         self.use_counter = tuple(
-            na <= ma - na for na, ma in zip(self.n_counts, self.m_counts)
+            na <= ma - na for na, ma in zip(stats.n_counts, stats.m_counts)
         )
         # 0-based codes in slot order; the first s are the key slots
         self._slot_codes = tuple(a - 1 for a in self.reordering)
@@ -214,7 +260,7 @@ class StateCodec:
             x = xs[idx]
             if x is None:
                 ca = 0
-            elif x > max(self.g[idx], 0):
+            elif x > max(self.stats.g_per_symbol[idx], 0):
                 raise MalformedStateKey(
                     f"coordinate {x} for code {idx + 1} exceeds its imbalance"
                 )
@@ -222,7 +268,7 @@ class StateCodec:
                 ca = x
             else:
                 ca = rank(self.target, j - 1, idx + 1) - rank(self.source, i - 1, idx + 1) - x
-            if not 0 <= ca <= self.n_counts[idx]:
+            if not 0 <= ca <= self.stats.n_counts[idx]:
                 raise MalformedStateKey(f"counter {ca} for code {idx + 1} out of range")
             c[idx] = ca
         if d and min(c) != 0:
@@ -230,24 +276,15 @@ class StateCodec:
         return (i, j, tuple(c))
 
 
-def encode_state(codec: StateCodec, i: int, j: int, c: Sequence[int]) -> StateKey:
-    """Functional form of StateCodec.encode."""
-    return codec.encode(i, j, c)
-
-
-def decode_state(key: StateKey, codec: StateCodec) -> State:
-    """Functional form of StateCodec.decode; the codec is the context."""
-    return codec.decode(key)
-
-
 @dataclass(frozen=True)
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``reordering`` and ``imbalanced_count`` describe the key packing used;
-    ``state_bound`` is the instance's memo-size bound, which
-    ``memo_entries`` never exceeds.  ``states`` holds every evaluated
-    (i, j, c) when the computation ran with state recording on.
+    ``stats`` is the pair's difficulty profile, set on every result the
+    engine returns.  ``reordering`` and ``imbalanced_count`` describe the
+    key packing used; ``state_bound`` is the instance's memo-size bound,
+    which ``memo_entries`` never exceeds.  ``states`` holds every
+    evaluated (i, j, c) when the computation ran with state recording on.
     """
 
     distance: Cost
@@ -257,6 +294,22 @@ class EngineResult:
     imbalanced_count: int = 0
     state_bound: int = 0
     states: Optional[Tuple[State, ...]] = None
+    stats: Optional[InstanceStats] = None
+
+    def weighted_cost(self, c_ins, c_swap) -> Cost:
+        """Cost of an optimal script at per-operation prices.
+
+        Every minimal correction uses exactly m - n insertions (deletions,
+        for a swap-delete result), so insertions and swaps never trade off
+        against each other and the unweighted optimum fixes both
+        operation counts.
+        """
+        if c_ins < 0 or c_swap < 0:
+            raise ValueError("weights must be non-negative")
+        if not self.distance.is_finite:
+            return Cost.unreachable()
+        inserts = self.stats.m - self.stats.n
+        return Cost.finite(c_ins * inserts + c_swap * (self.distance.value - inserts))
 
 
 class _Computation:
@@ -373,7 +426,7 @@ class _Computation:
         counts_s = [0] + self.source.per_symbol_count
         counts_l = [0] + self.target.per_symbol_count
         raw_of = self.source.alphabet.raw_of
-        record = self.states if ops is None else None
+        record = self.states
         c = [0] * (d + 1)
         live = set()  # codes with a nonzero counter
         # occurrences of each code before source position p / target position q
@@ -443,9 +496,14 @@ class _Computation:
             before_l[b] += 1
             q += 1
 
-    def solve(self) -> Optional[int]:
+    def solve(self, ops: Optional[List] = None) -> Optional[int]:
+        """Distance of the whole pair.
+
+        Without a memo the chain scan also appends its script to ``ops``,
+        if given; with one, ``reconstruct`` replays the script afterwards.
+        """
         if self.memo is None:
-            return self._solve_chain()
+            return self._solve_chain(ops)
         return self._solve_memoized((1, 1, (0,) * self.codec.d))
 
     def reconstruct(self) -> Script:
@@ -454,14 +512,10 @@ class _Computation:
         Target positions are produced left to right; a swap commitment of
         the source occurrence at position r becomes an immediate run of
         adjacent swaps walking it down to the boundary.  Ties between the
-        insert and swap branches go to the insertion.  Without a memo the
-        chain scan runs again and records its own decisions.
+        insert and swap branches go to the insertion.
         """
         ops: List = []
         memo = self.memo
-        if memo is None:
-            self._solve_chain(ops)
-            return Script(tuple(ops))
         raw_of = self.source.alphabet.raw_of
         l_syms = self.target.symbols
         encode = self.codec.encode
@@ -505,21 +559,23 @@ def feasible(source: IndexedString, target: IndexedString) -> bool:
 
 def _run(source: IndexedString, target: IndexedString, with_script: bool,
          record_states: bool) -> EngineResult:
-    _check_common_alphabet(source, target)
     if not feasible(source, target):
         # detected from the counts alone, before any state is evaluated
-        return EngineResult(distance=Cost.unreachable(), memo_entries=0)
+        return EngineResult(distance=Cost.unreachable(), memo_entries=0,
+                            stats=InstanceStats.of(source, target))
     comp = _Computation(source, target, record_states=record_states)
-    value = comp.solve()
+    stats = comp.codec.stats
+    ops: Optional[List] = [] if with_script else None
+    value = comp.solve(ops)
     entries = len(comp.memo) if comp.memo is not None else 0
-    bound = memo_bound(comp.n, comp.codec.g, comp.codec.m_counts)
+    bound = stats.predicted_state_bound
     if entries > bound:
         raise RuntimeError(
             f"internal error: {entries} memo entries exceed the bound {bound}"
         )
     script = None
     if with_script and value is not None:
-        script = comp.reconstruct()
+        script = Script(tuple(ops)) if comp.memo is None else comp.reconstruct()
         if len(script) != value:
             raise RuntimeError(
                 f"internal error: script cost {len(script)} != distance {value}"
@@ -529,9 +585,10 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool,
         memo_entries=entries,
         script=script,
         reordering=comp.codec.reordering,
-        imbalanced_count=comp.codec.s,
+        imbalanced_count=stats.s,
         state_bound=bound,
         states=tuple(comp.states) if comp.states is not None else None,
+        stats=stats,
     )
 
 
@@ -557,18 +614,10 @@ def weighted_distance(source: IndexedString, target: IndexedString,
                       c_ins, c_swap) -> Cost:
     """Cheapest weighted correction cost for per-operation prices.
 
-    Every minimal correction uses exactly m - n insertions, so insertions
-    and swaps never trade off against each other and the unweighted
-    optimum fixes both operation counts.
+    One unweighted solve fixes both operation counts; see
+    ``EngineResult.weighted_cost``.
     """
-    if c_ins < 0 or c_swap < 0:
-        raise ValueError("weights must be non-negative")
-    result = distance(source, target)
-    if not result.distance.is_finite:
-        return Cost.unreachable()
-    inserts = len(target) - len(source)
-    swaps = result.distance.value - inserts
-    return Cost.finite(c_ins * inserts + c_swap * swaps)
+    return distance(source, target).weighted_cost(c_ins, c_swap)
 
 
 def swap_delete_distance(long_string: IndexedString, short_string: IndexedString) -> EngineResult:
@@ -578,10 +627,9 @@ def swap_delete_distance(long_string: IndexedString, short_string: IndexedString
     reconstructed script is reversed, and every insertion is undone as a
     deletion at the same position.
     """
-    _check_common_alphabet(long_string, short_string)
-    if not feasible(short_string, long_string):
-        return EngineResult(distance=Cost.unreachable(), memo_entries=0)
     result = _run(short_string, long_string, with_script=True, record_states=False)
+    if result.script is None:
+        return result
     mirrored = tuple(
         Delete(op.position) if isinstance(op, Insert) else op
         for op in reversed(result.script.ops)

@@ -60,6 +60,15 @@ class AlphabetMap:
     def __len__(self) -> int:
         return self.d
 
+    def __eq__(self, other) -> bool:
+        # maps over the same symbols in the same order code alike
+        if not isinstance(other, AlphabetMap):
+            return NotImplemented
+        return self is other or self.external_symbols == other.external_symbols
+
+    def __hash__(self) -> int:
+        return hash(self.external_symbols)
+
     def __repr__(self) -> str:
         return f"AlphabetMap(d={self.d})"
 

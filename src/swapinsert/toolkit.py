@@ -3,7 +3,9 @@
 The per-symbol imbalance min(n_a, m_a - n_a) drives how hard an instance
 is for the engine; the generator manufactures instances whose imbalance
 profile is controlled, and the bench harness times the engine on them
-and records memo usage against the predicted bound.
+and records memo usage against the predicted bound.  ``InstanceStats``
+lives in ``engine``, which returns it on every result; it is re-exported
+here, and ``instance_stats`` reads it for a raw pair.
 """
 
 import csv
@@ -13,13 +15,12 @@ import random
 import statistics
 import string
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .engine import correction_distance, memo_bound
-from .indexing import AlphabetMap, build_alphabet
+from .engine import InstanceStats, correction_distance
+from .indexing import build_alphabet, index_string
 from .oracles import (
     DEFAULT_COMBINATION_BUDGET,
     DEFAULT_STATE_BUDGET,
@@ -33,54 +34,10 @@ class InfeasibleProfile(ValueError):
     """The requested generator profile contradicts the requested sizes."""
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    """Difficulty profile of one (source, target) pair."""
-
-    n: int
-    m: int
-    d: int
-    n_counts: Tuple[int, ...]
-    m_counts: Tuple[int, ...]
-    g_per_symbol: Tuple[int, ...]
-    g: int
-    sigma_plus: Tuple[int, ...]
-    s: int
-    predicted_state_bound: int
-    feasible: bool
-    alphabet: AlphabetMap
-
-
 def instance_stats(source: Sequence, target: Sequence) -> InstanceStats:
-    """Compute sizes, per-symbol counts and imbalances, and the memo bound."""
+    """Sizes, per-symbol counts and imbalances, and the memo bound of a raw pair."""
     alphabet = build_alphabet(source, target)
-    d = alphabet.d
-    src_counter = Counter(source)
-    tgt_counter = Counter(target)
-    n_counts = tuple(src_counter.get(sym, 0) for sym in alphabet.external_symbols)
-    m_counts = tuple(tgt_counter.get(sym, 0) for sym in alphabet.external_symbols)
-    g_per_symbol = tuple(min(na, ma - na) for na, ma in zip(n_counts, m_counts))
-    s = sum(1 for g in g_per_symbol if g > 0)
-    if d and s == d:
-        # every code contributes, except one smallest-imbalance code
-        dropped = min(range(1, d + 1), key=lambda a: (g_per_symbol[a - 1], a))
-        sigma_plus = tuple(a for a in range(1, d + 1) if a != dropped)
-    else:
-        sigma_plus = tuple(a for a in range(1, d + 1) if g_per_symbol[a - 1] > 0)
-    return InstanceStats(
-        n=len(source),
-        m=len(target),
-        d=d,
-        n_counts=n_counts,
-        m_counts=m_counts,
-        g_per_symbol=g_per_symbol,
-        g=max(g_per_symbol, default=0),
-        sigma_plus=sigma_plus,
-        s=s,
-        predicted_state_bound=memo_bound(len(source), g_per_symbol, m_counts),
-        feasible=all(na <= ma for na, ma in zip(n_counts, m_counts)),
-        alphabet=alphabet,
-    )
+    return InstanceStats.of(index_string(source, alphabet), index_string(target, alphabet))
 
 
 PROFILES = ("zero-g", "balanced-g", "max-g", "custom")
@@ -357,8 +314,6 @@ def run_bench(
     for spec in specs:
         try:
             source, target = generate_instance(spec)
-            stats = instance_stats(source, target)
-            result = None
             runs = []
             for _ in range(max(1, repeats)):
                 # a clean heap keeps runs comparable: no collection debt
@@ -367,11 +322,7 @@ def run_bench(
                 t0 = time.perf_counter_ns()
                 result = correction_distance(source, target)
                 runs.append(time.perf_counter_ns() - t0)
-            if result.memo_entries > stats.predicted_state_bound:
-                raise RuntimeError(
-                    f"memo entries {result.memo_entries} exceed the bound "
-                    f"{stats.predicted_state_bound}"
-                )
+            stats = result.stats
             records.append(BenchRecord(
                 d=stats.d, n=stats.n, m=stats.m, g=stats.g, s=stats.s,
                 profile=spec.profile, seed=spec.seed,

@@ -99,6 +99,41 @@ def test_dist_weighted_output(capsys):
     assert "weighted cost (2, 3): 5" in out
 
 
+@pytest.mark.parametrize("argv, code, cost", [
+    (("ba", "aab"), 0, "7/2"),
+    (("--ops", "swap-delete", "ba", "aab"), 2, None),
+    (("--ops", "swap-delete", "aab", "ba"), 0, "7/2"),
+])
+def test_weighted_dist_solves_once(capsys, monkeypatch, argv, code, cost):
+    # the weighted cost is arithmetic on the one result, not a second solve
+    def second_solve(*args, **kwargs):
+        raise AssertionError("the pair was solved a second time")
+    monkeypatch.setattr("swapinsert.engine.distance", second_solve)
+    got, out, _ = run_cli(capsys, "dist", *argv, "--c-ins", "2", "--c-swap", "3/2",
+                          "--json")
+    assert got == code
+    report = json.loads(out)
+    assert report["weights"] == {"c_ins": "2", "c_swap": "3/2"}
+    assert report["weighted_cost"] == cost
+
+
+@pytest.mark.parametrize("argv", [("aa", "a"), ("--ops", "swap-delete", "a", "abba")])
+def test_weighted_cost_unreachable_for_both_operator_sets(capsys, argv):
+    code, out, _ = run_cli(capsys, "dist", *argv, "--c-ins", "2")
+    assert code == 2
+    assert "weighted cost (2, 1): unreachable" in out
+
+
+def test_dist_json_infeasible_pair_with_imbalanced_symbol(capsys):
+    # b is imbalanced (g = 1) while a makes the pair infeasible
+    code, out, _ = run_cli(capsys, "dist", "aab", "abbb", "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert (report["d"], report["g"], report["s"]) == (2, 1, 1)
+    assert report["feasible"] is False
+    assert report["state_bound"] == 0
+
+
 def test_dist_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as err:
         main(["dist", "onlyone"])

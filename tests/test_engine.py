@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,19 +7,19 @@ from swapinsert import (
     Cost,
     Insert,
     MalformedStateKey,
+    Script,
     ScriptUnavailable,
     StateCodec,
     StateKey,
     apply_script,
     build_alphabet,
     correction_distance,
-    decode_state,
     distance_with_script,
-    encode_state,
     feasible,
     generate_instance,
     GeneratorSpec,
     index_string,
+    instance_stats,
     matching_distance,
     memo_bound,
     swap_delete_correction,
@@ -135,7 +136,7 @@ def test_encode_decode_identity_on_recorded_states(rng):
         codec = StateCodec(S, L)
         for state in result.states:
             i, j, c = state
-            assert decode_state(encode_state(codec, i, j, c), codec) == state
+            assert codec.decode(codec.encode(i, j, c)) == state
             seen += 1
     assert seen >= 10_000
 
@@ -279,8 +280,9 @@ def test_large_alphabet_zero_imbalance_matches_forced_matching():
     expected = len(target) - len(source) + _inversions(matched)[0]
 
     comp = _Computation(index_string(source, amap), index_string(target, amap))
-    assert comp.solve() == expected
-    script = comp.reconstruct()
+    ops = []
+    assert comp.solve(ops) == expected
+    script = Script(tuple(ops))
     assert len(script) == expected
     assert apply_script(source, script) == target
     # the chain scan never builds a prefix-count row
@@ -366,6 +368,19 @@ def test_weighted_rejects_negative():
     S, L = indexed_pair("a", "ab")
     with pytest.raises(ValueError):
         weighted_distance(S, L, -1, 1)
+
+
+def test_result_carries_the_instance_stats_and_weighted_cost(rng):
+    infeasible = 0
+    for _ in range(300):
+        source, target = random_pair(rng, max_d=4, max_n=7, max_m=8)
+        result = correction_distance(source, target)
+        assert result.stats == instance_stats(source, target)
+        infeasible += not result.stats.feasible
+        S, L = indexed_pair(source, target)
+        for weights in ((1, 1), (2, 3), (Fraction(3, 2), 0)):
+            assert result.weighted_cost(*weights) == weighted_distance(S, L, *weights)
+    assert 0 < infeasible < 300
 
 
 def test_weighted_matches_oracle(rng):
