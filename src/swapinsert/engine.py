@@ -9,7 +9,12 @@ reduce a state: skip a spoken-for source symbol, match equal heads,
 insert the target head, or commit the nearest free source occurrence of
 the target head to a leftward swap move.
 
-States are memoized under a compressed reversible key (StateCodec).
+States are memoized under the state (i, j, c) itself.  ``StateCodec``
+is the paper's bounded reversible key: a balanced code's counter is
+fixed by (i, j), so it tells the reachable states apart, and the size of
+its key space (``memo_bound``) bounds the memo entries; the engine checks
+that on every solve.
+
 Instances whose per-symbol imbalance is zero everywhere never branch, so
 they run as a plain scan with no memo at all; that is what makes the
 equal-length, swap-only case effectively linear.  The scan keeps running
@@ -47,7 +52,7 @@ class MalformedStateKey(ValueError):
 
 
 class StateKey(NamedTuple):
-    """Compressed memo key for one scan state.
+    """The paper's bounded key for one scan state.
 
     ``r`` stores one bounded coordinate per imbalanced symbol code (all
     but one of them when every code is imbalanced, in which case ``p``
@@ -163,14 +168,17 @@ class _PrefixRows(dict):
 
 
 class StateCodec:
-    """Reversible compression of scan states for one (source, target) pair.
+    """The paper's bounded reversible key for the scan states of one pair.
 
     Symbol codes are reordered so imbalanced codes come first with growing
     imbalance; balanced codes carry no key information, which is what
-    keeps the key space within the adaptive bound.  ``encode`` visits only
-    the s key slots (all d when every code is imbalanced) and reads
+    keeps the key space within the adaptive bound ``memo_bound``.  The
+    memo itself keys on the state; ``encode`` is one-to-one on reachable
+    states, so that bound also bounds ``memo_entries``.  ``encode`` visits
+    only the s key slots (all d when every code is imbalanced) and reads
     ``source_rows`` / ``target_rows``, prefix-count rows built per code on
-    first use.  ``decode`` runs in O(d log n).
+    first use; the solver reads the same rows.  ``decode`` runs in
+    O(d log n).
     """
 
     def __init__(self, source: IndexedString, target: IndexedString) -> None:
@@ -281,20 +289,28 @@ class EngineResult:
     """Outcome of one distance computation.
 
     ``stats`` is the pair's difficulty profile, set on every result the
-    engine returns.  ``reordering`` and ``imbalanced_count`` describe the
-    key packing used; ``state_bound`` is the instance's memo-size bound,
-    which ``memo_entries`` never exceeds.  ``states`` holds every
-    evaluated (i, j, c) when the computation ran with state recording on.
+    engine returns; ``state_bound`` and ``imbalanced_count`` read it.
+    ``reordering`` is the codec's slot order of the symbol codes.
+    ``states`` holds every evaluated (i, j, c) when the computation ran
+    with state recording on.
     """
 
     distance: Cost
     memo_entries: int
+    stats: InstanceStats
     script: Optional[Script] = None
     reordering: Tuple[int, ...] = ()
-    imbalanced_count: int = 0
-    state_bound: int = 0
     states: Optional[Tuple[State, ...]] = None
-    stats: Optional[InstanceStats] = None
+
+    @property
+    def state_bound(self) -> int:
+        """The instance's memo-size bound, which ``memo_entries`` never exceeds."""
+        return self.stats.predicted_state_bound
+
+    @property
+    def imbalanced_count(self) -> int:
+        """Number s of imbalanced symbol codes."""
+        return self.stats.s
 
     def weighted_cost(self, c_ins, c_swap) -> Cost:
         """Cost of an optimal script at per-operation prices.
@@ -370,47 +386,42 @@ class _Computation:
         Uses the computation's memo when the instance carries one, and a
         scratch table otherwise.
         """
-        return self._solve_memoized((i, j, c))
+        return self._solve_memoized((i, j, tuple(c)))
 
     def _solve_memoized(self, start: State) -> Optional[int]:
         memo = self.memo if self.memo is not None else {}
-        encode = self.codec.encode
         n, m = self.n, self.m
         record = self.states
-        stack = [(False, start, None, None)]
+        stack = [(False, start, None)]
         while stack:
-            combining, state, key, moves = stack.pop()
+            combining, state, moves = stack.pop()
             if combining:
                 best = None
-                for _kind, edge, _child, child_key in moves:
-                    value = memo[child_key]
+                for _kind, edge, child in moves:
+                    value = memo[child]
                     if value is not None:
                         total = edge + value
                         if best is None or total < best:
                             best = total
-                memo[key] = best
+                memo[state] = best
                 continue
-            i, j, c = state
-            key = encode(i, j, c)
-            if key in memo:
+            if state in memo:
                 continue
             if record is not None:
                 record.append(state)
+            i, j, c = state
             if i == n + 1:
-                memo[key] = (m - j + 1) if not any(c) else None
+                memo[state] = (m - j + 1) if not any(c) else None
                 continue
             if j == m + 1:
-                memo[key] = 0 if sum(c) == n - i + 1 else None
+                memo[state] = 0 if sum(c) == n - i + 1 else None
                 continue
-            expanded = [
-                (kind, edge, child, encode(*child))
-                for kind, edge, child in self._moves(i, j, c)
-            ]
-            stack.append((True, state, key, expanded))
-            for _kind, _edge, child, child_key in expanded:
-                if child_key not in memo:
-                    stack.append((False, child, None, None))
-        return memo[encode(*start)]
+            moves = self._moves(i, j, c)
+            stack.append((True, state, moves))
+            for _kind, _edge, child in moves:
+                if child not in memo:
+                    stack.append((False, child, None))
+        return memo[start]
 
     def _solve_chain(self, ops: Optional[List] = None) -> Optional[int]:
         # With no imbalanced symbol at most one rule ever applies, so the
@@ -518,7 +529,6 @@ class _Computation:
         memo = self.memo
         raw_of = self.source.alphabet.raw_of
         l_syms = self.target.symbols
-        encode = self.codec.encode
         n, m = self.n, self.m
         i, j, c = 1, 1, (0,) * self.codec.d
         while True:
@@ -536,7 +546,7 @@ class _Computation:
                 # _moves lists the insert branch first
                 totals = []
                 for _kind, edge, child in moves:
-                    value = memo[encode(*child)]
+                    value = memo[child]
                     totals.append(None if value is None else edge + value)
                 ins_total, swap_total = totals
                 if swap_total is None or (ins_total is not None and ins_total <= swap_total):
@@ -583,12 +593,10 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool,
     return EngineResult(
         distance=Cost.finite(value) if value is not None else Cost.unreachable(),
         memo_entries=entries,
+        stats=stats,
         script=script,
         reordering=comp.codec.reordering,
-        imbalanced_count=stats.s,
-        state_bound=bound,
         states=tuple(comp.states) if comp.states is not None else None,
-        stats=stats,
     )
 
 

@@ -131,7 +131,8 @@ def test_dist_json_infeasible_pair_with_imbalanced_symbol(capsys):
     report = json.loads(out)
     assert (report["d"], report["g"], report["s"]) == (2, 1, 1)
     assert report["feasible"] is False
-    assert report["state_bound"] == 0
+    # the bound is the pair's profile, the same figure `stats` prints
+    assert (report["memo_entries"], report["state_bound"]) == (0, 40)
 
 
 def test_dist_usage_error_exit_1(capsys):

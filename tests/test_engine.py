@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from swapinsert import (
     ScriptUnavailable,
     StateCodec,
     StateKey,
+    Swap,
     apply_script,
     build_alphabet,
     correction_distance,
@@ -141,6 +143,40 @@ def test_encode_decode_identity_on_recorded_states(rng):
     assert seen >= 10_000
 
 
+def _all_imbalanced_pair(rng, d):
+    # every code has 0 < n_a < m_a, so s == d
+    target, source = [], []
+    for sym in "abcde"[:d]:
+        m_a = rng.randint(2, 3)
+        target += [sym] * m_a
+        source += [sym] * rng.randint(1, m_a - 1)
+    rng.shuffle(target)
+    rng.shuffle(source)
+    return "".join(source), "".join(target)
+
+
+@pytest.mark.parametrize("profile", ["balanced-g", "max-g"])
+@pytest.mark.parametrize("with_script", [False, True])
+def test_memo_path_never_encodes(monkeypatch, profile, with_script):
+    # the memo keys on the raw state; StateCodec.encode is not on the solve path
+    def refuse(*_args):
+        raise AssertionError("StateCodec.encode called while solving")
+    monkeypatch.setattr(StateCodec, "encode", refuse)
+    pairs = [generate_instance(GeneratorSpec(d=d, n=24, m=36, profile=profile, seed=d))
+             for d in (2, 3, 4)]
+    # the generated pairs have 0 < s < d; add one with s == d
+    pairs.append(_all_imbalanced_pair(random.Random(len(profile)), 4))
+    full = []
+    for source, target in pairs:
+        result = correction_distance(source, target, with_script=with_script)
+        assert 0 < result.imbalanced_count <= result.stats.d
+        full.append(result.imbalanced_count == result.stats.d)
+        assert result.memo_entries > 0
+        if with_script:
+            assert apply_script(source, result.script) == target
+    assert full == [False, False, False, True]
+
+
 def test_zero_imbalance_uses_no_memo():
     # every symbol is balanced here, so evaluation runs as a plain scan
     result = correction_distance("bba", "abb")
@@ -183,6 +219,44 @@ def test_memo_bound_never_exceeded(rng):
         source, target = random_pair(rng, max_d=4, max_n=8, max_m=10)
         result = correction_distance(source, target)
         assert result.memo_entries <= result.state_bound
+
+
+def _reachable_states(comp):
+    # every state reachable from the start along _moves, found without the memo
+    start = (1, 1, (0,) * comp.codec.d)
+    seen, todo = {start}, [start]
+    while todo:
+        i, j, c = todo.pop()
+        if i > comp.n or j > comp.m:
+            continue
+        for _kind, _edge, child in comp._moves(i, j, c):
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return seen
+
+
+def test_memo_entries_match_distinct_codec_keys():
+    # the memo holds one entry per reachable state, and the codec's bounded
+    # key tells every reachable state apart, so memo_bound bounds the memo
+    rng = random.Random(5150)
+    full = 0
+    for k in range(300):
+        d = 3 + k % 3
+        if k % 2:
+            source, target = _all_imbalanced_pair(rng, d)
+        else:
+            source, target = random_feasible_pair(rng, max_d=d, max_n=9, max_m=12)
+        result = correction_distance(source, target, record_states=True)
+        if result.imbalanced_count == 0:
+            continue
+        full += result.imbalanced_count == result.stats.d
+        reachable = _reachable_states(_Computation(*indexed_pair(source, target)))
+        codec = StateCodec(*indexed_pair(source, target))
+        keys = {codec.encode(*state) for state in reachable}
+        assert result.memo_entries == len(reachable) == len(keys), (source, target)
+        assert set(result.states) == reachable, (source, target)
+    assert full >= 100
 
 
 def test_memo_bound_formula():
@@ -293,6 +367,76 @@ def test_insertion_preferred_on_ties():
     # both branches cost the same here; the emitted script must insert
     result = correction_distance("b", "ab", with_script=True)
     assert result.script.ops[0] == Insert(1, "a")
+
+
+SWEEP = Path(__file__).parent / "data" / "script_sweep.txt"
+
+
+def _sweep_pairs():
+    # the pairs of SWEEP, in file order: 2 to 5 symbols, 2 <= m <= 8, and
+    # the source a random sub-multiset of the target, 1 <= n <= m
+    rng = random.Random(20151)
+    for _ in range(2000):
+        alphabet = "abcde"[:rng.randint(2, 5)]
+        m = rng.randint(2, 8)
+        n = rng.randint(1, m)
+        target = [rng.choice(alphabet) for _ in range(m)]
+        yield "".join(rng.sample(target, n)), "".join(target)
+
+
+def _sweep_cases():
+    # one pair per line: source ("-" when empty), target, distance, then
+    # the script as i<pos><symbol> for an insert and s<pos> for a swap.
+    # Each line after the pair was written from
+    # correction_distance(source, target, with_script=True), read through
+    # _op_text, at commit 638f5586d3c65be4a5f2ab3889c0483ce1d4fe3a, while
+    # the memo still keyed on StateCodec keys; extend the sweep the same way.
+    for line in SWEEP.read_text().splitlines():
+        source, target, value, *ops = line.split(" ")
+        yield ("" if source == "-" else source), target, int(value), ops
+
+
+def _op_text(op):
+    return f"i{op.position}{op.symbol}" if isinstance(op, Insert) else f"s{op.position}"
+
+
+def test_script_sweep_matches_committed_scripts():
+    cases = list(_sweep_cases())
+    assert [(source, target) for source, target, *_ in cases] == list(_sweep_pairs())
+    for source, target, value, ops in cases:
+        result = correction_distance(source, target, with_script=True)
+        assert result.distance == Cost.finite(value), (source, target)
+        assert [_op_text(op) for op in result.script.ops] == ops, (source, target)
+
+
+def test_reconstruct_inserts_on_every_tie_in_the_sweep():
+    # follow each memo-path script along the move graph; wherever the
+    # insert and swap branches cost the same, the script must insert
+    ties = 0
+    for source, target, _value, _ops in _sweep_cases():
+        comp = _Computation(*indexed_pair(source, target))
+        if comp.memo is None:
+            continue
+        comp.solve()
+        ops = list(comp.reconstruct().ops)
+        i, j, c = 1, 1, (0,) * comp.codec.d
+        while i <= comp.n and j <= comp.m:
+            moves = {kind: (edge, child) for kind, edge, child in comp._moves(i, j, c)}
+            # only an insert at this state emits an insert at position j
+            inserted = "insert" in moves and ops[:1] == [Insert(j, target[j - 1])]
+            if len(moves) == 2:
+                (ins_edge, ins_child), (swap_edge, swap_child) = moves.values()
+                ins = comp.evaluate_state(*ins_child)
+                swap = comp.evaluate_state(*swap_child)
+                if ins is not None and swap is not None and ins_edge + ins == swap_edge + swap:
+                    ties += 1
+                    assert inserted, (source, target, (i, j, c))
+            kind = "insert" if inserted else next(k for k in moves if k != "insert")
+            edge, (i, j, c) = moves[kind]
+            # an insert emits one op, a swap commitment `edge` swaps
+            del ops[:edge]
+        assert len(ops) == (comp.m - j + 1 if i > comp.n else 0)
+    assert ties >= 100
 
 
 def test_scripts_replay_on_random_instances(rng):
