@@ -10,6 +10,7 @@ replayable in order.
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -84,7 +85,7 @@ def _read_file(path: str, as_bytes: bool):
         if data.endswith(b"\n"):
             return data[:-1]
         return data
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         data = handle.read()
     if data.endswith("\r\n"):
         return data[:-2]
@@ -93,14 +94,21 @@ def _read_file(path: str, as_bytes: bool):
     return data
 
 
+def _stdin_lines(data):
+    # a line ends only at "\n", and one "\r" before it is dropped, the rule
+    # _read_file applies; splitlines() would also split at "\x0c", "\x85",
+    # a lone "\r" and more, all of which are symbols here
+    lines = re.split("\r?\n" if isinstance(data, str) else b"\r?\n", data)
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _resolve_inputs(args, parser: argparse.ArgumentParser):
     if args.stdin:
         if args.source is not None or args.target is not None:
             parser.error("--stdin takes no positional strings")
-        if args.as_bytes:
-            lines = sys.stdin.buffer.read().splitlines()
-        else:
-            lines = sys.stdin.read().splitlines()
+        lines = _stdin_lines(sys.stdin.buffer.read() if args.as_bytes else sys.stdin.read())
         if len(lines) < 2:
             parser.error("expected two input lines on stdin")
         return lines[0], lines[1]
@@ -121,16 +129,12 @@ def _echo(value) -> object:
     return value
 
 
-def _symbol_text(symbol) -> str:
-    # byte symbols print as their integer value, text symbols as themselves
-    return str(symbol)
-
-
 def _script_lines(script) -> List[str]:
+    # a byte symbol prints as its integer value, a text symbol as itself
     lines = []
     for op in script.ops:
         if isinstance(op, Insert):
-            lines.append(f"ins {op.position} {_symbol_text(op.symbol)}")
+            lines.append(f"ins {op.position} {op.symbol}")
         elif isinstance(op, Swap):
             lines.append(f"swap {op.position}")
         elif isinstance(op, Delete):
@@ -179,7 +183,7 @@ def _cmd_dist(args, parser) -> int:
             "n": stats.n, "m": stats.m, "d": stats.d,
             "g": stats.g, "s": stats.s,
             "memo_entries": result.memo_entries,
-            "state_bound": result.state_bound,
+            "state_bound": stats.predicted_state_bound,
             "feasible": stats.feasible,
         }
         if weighted is not None:
@@ -193,7 +197,7 @@ def _cmd_dist(args, parser) -> int:
     else:
         print(f"distance: {_cost_text(result.distance)}")
         print(f"n: {stats.n}  m: {stats.m}  d: {stats.d}  g: {stats.g}  s: {stats.s}")
-        print(f"memo entries: {result.memo_entries} (bound {result.state_bound})")
+        print(f"memo entries: {result.memo_entries} (bound {stats.predicted_state_bound})")
         if weighted is not None:
             print(f"weighted cost ({args.c_ins}, {args.c_swap}): {_cost_text(weighted)}")
         if args.script and result.script is not None:
@@ -280,7 +284,7 @@ def _cmd_stats(args, parser) -> int:
     else:
         print(f"n: {stats.n}  m: {stats.m}  d: {stats.d}")
         for idx, sym in enumerate(stats.alphabet.external_symbols):
-            print(f"symbol {_symbol_text(sym)}: n={stats.n_counts[idx]} "
+            print(f"symbol {sym}: n={stats.n_counts[idx]} "
                   f"m={stats.m_counts[idx]} g={stats.g_per_symbol[idx]}")
         print(f"g: {stats.g}  s: {stats.s}")
         print(f"predicted state bound: {stats.predicted_state_bound}")
@@ -315,13 +319,19 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_selftest(args, parser) -> int:
-    report = exhaustive_oracle_check(
-        max_n=args.max_n,
-        max_m=args.max_m,
-        alphabet_size=args.alphabet,
-        state_budget=args.budget,
-        combination_budget=args.budget,
-    )
+    try:
+        report = exhaustive_oracle_check(
+            max_n=args.max_n,
+            max_m=args.max_m,
+            alphabet_size=args.alphabet,
+            state_budget=args.budget,
+            combination_budget=args.budget,
+        )
+    except InstanceTooLarge as exc:
+        print(f"instance too large: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"checked {report.pairs} pairs over a {args.alphabet}-symbol alphabet")
     for source, target, engine, ucs, matching in report.mismatches[:20]:
         print(f"MISMATCH {source!r} -> {target!r}: engine={engine} "

@@ -9,22 +9,21 @@ reduce a state: skip a spoken-for source symbol, match equal heads,
 insert the target head, or commit the nearest free source occurrence of
 the target head to a leftward swap move.
 
-States are memoized under the state (i, j, c) itself.  ``StateCodec``
-is the paper's bounded reversible key: a balanced code's counter is
-fixed by (i, j), so it tells the reachable states apart, and the size of
-its key space (``memo_bound``) bounds the memo entries; the engine checks
-that on every solve.
-
-Instances whose per-symbol imbalance is zero everywhere never branch, so
-they run as a plain scan with no memo at all; that is what makes the
-equal-length, swap-only case effectively linear.  The scan keeps running
-prefix counts and visits only nonzero counters, so no step of it costs
-O(d); only the memoized DP reads prefix-count rows, built per code.
+There are two solvers.  Instances whose per-symbol imbalance is zero
+everywhere never branch, so they run as a plain forward scan with no
+memo at all; that is what makes the equal-length, swap-only case
+effectively linear.  The scan keeps running prefix counts and visits
+only nonzero counters, so no step of it costs O(d).  Every other
+instance runs a memoized DP over the states (i, j, c) themselves, which
+reads prefix-count rows built per code; its memo stays within the
+paper's adaptive bound ``memo_bound``, and the engine checks that on
+every solve.
 
 The pair's difficulty profile (counts, imbalances, memo bound) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
-indexes' per-symbol counts and returned as ``EngineResult.stats``; the
-weighted cost is arithmetic on the result (``EngineResult.weighted_cost``).
+indexes' per-symbol counts, picks the solver, and is returned as
+``EngineResult.stats``; the weighted cost is arithmetic on the result
+(``EngineResult.weighted_cost``).
 
 Evaluation uses an explicit work stack instead of native recursion: the
 reduction depth grows with n + m and would overflow the interpreter
@@ -34,10 +33,10 @@ stack on large inputs.
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cost import Cost
-from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string, rank
+from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string
 from .scripts import Delete, Insert, Script, Swap
 
 State = Tuple[int, int, Tuple[int, ...]]
@@ -47,27 +46,11 @@ class ScriptUnavailable(ValueError):
     """No correction script exists because the distance is unreachable."""
 
 
-class MalformedStateKey(ValueError):
-    """A state key fails validation against its instance."""
-
-
-class StateKey(NamedTuple):
-    """The paper's bounded key for one scan state.
-
-    ``r`` stores one bounded coordinate per imbalanced symbol code (all
-    but one of them when every code is imbalanced, in which case ``p``
-    names the reordered slot of a zero counter that was dropped).  The
-    target position is recovered as i + k + sum(r).
-    """
-
-    p: Optional[int]
-    i: int
-    k: int
-    r: Tuple[int, ...]
-
-
 def memo_bound(n: int, g_by_code: Sequence[int], m_by_code: Sequence[int]) -> int:
-    """Upper bound on distinct memo entries for an instance's key space.
+    """The paper's adaptive bound on one instance's memo entries.
+
+    It is at most d (n + 1)(m + 1)(g + 1)^(d - 1) for the largest
+    per-symbol imbalance g.
 
     Zero when no symbol is imbalanced: such instances are evaluated
     without a memo.
@@ -87,11 +70,6 @@ def memo_bound(n: int, g_by_code: Sequence[int], m_by_code: Sequence[int]) -> in
     for g in positives:
         prod *= g + 1
     return (n + 1) * span * prod
-
-
-def _check_common_alphabet(a: IndexedString, b: IndexedString) -> None:
-    if a.alphabet != b.alphabet:
-        raise ValueError("source and target must be indexed over a common alphabet map")
 
 
 @dataclass(frozen=True)
@@ -114,7 +92,8 @@ class InstanceStats:
     @classmethod
     def of(cls, source: IndexedString, target: IndexedString) -> "InstanceStats":
         """Read the profile off the per-symbol counts of an indexed pair."""
-        _check_common_alphabet(source, target)
+        if source.alphabet != target.alphabet:
+            raise ValueError("source and target must be indexed over a common alphabet map")
         d = source.alphabet.d
         n_counts = tuple(source.per_symbol_count)
         m_counts = tuple(target.per_symbol_count)
@@ -167,150 +146,21 @@ class _PrefixRows(dict):
         return row
 
 
-class StateCodec:
-    """The paper's bounded reversible key for the scan states of one pair.
-
-    Symbol codes are reordered so imbalanced codes come first with growing
-    imbalance; balanced codes carry no key information, which is what
-    keeps the key space within the adaptive bound ``memo_bound``.  The
-    memo itself keys on the state; ``encode`` is one-to-one on reachable
-    states, so that bound also bounds ``memo_entries``.  ``encode`` visits
-    only the s key slots (all d when every code is imbalanced) and reads
-    ``source_rows`` / ``target_rows``, prefix-count rows built per code on
-    first use; the solver reads the same rows.  ``decode`` runs in
-    O(d log n).
-    """
-
-    def __init__(self, source: IndexedString, target: IndexedString) -> None:
-        stats = InstanceStats.of(source, target)
-        if not stats.feasible:
-            raise ValueError("state keys are only defined for feasible pairs")
-        self.stats = stats
-        self.source = source
-        self.target = target
-        self.n, self.m, self.d, self.s = stats.n, stats.m, stats.d, stats.s
-        g = stats.g_per_symbol
-        self.reordering = tuple(
-            sorted(range(1, stats.d + 1), key=lambda a: (g[a - 1] <= 0, g[a - 1], a))
-        )
-        # the dropped-coordinate packing only applies when every code is
-        # imbalanced, which presumes a non-empty alphabet
-        self.full = self.s == self.d and self.d > 0
-        self.use_counter = tuple(
-            na <= ma - na for na, ma in zip(stats.n_counts, stats.m_counts)
-        )
-        # 0-based codes in slot order; the first s are the key slots
-        self._slot_codes = tuple(a - 1 for a in self.reordering)
-        self._key_codes = self._slot_codes[:self.s]
-        self.source_rows = _PrefixRows(source)
-        self.target_rows = _PrefixRows(target)
-
-    def encode(self, i: int, j: int, c: Sequence[int]) -> StateKey:
-        """Pack a reachable state (i, j, c) into its key."""
-        d = self.d
-        if len(c) != d:
-            raise ValueError(f"counter vector must have {d} entries")
-        if not 1 <= i <= self.n + 1 or not 1 <= j <= self.m + 1:
-            raise ValueError(f"state ({i}, {j}) outside the scan range")
-        if self.full:
-            slots = self._slot_codes
-            for p, idx in enumerate(slots, 1):
-                if c[idx] == 0:
-                    break
-            else:
-                raise ValueError("no zero counter: state is not reachable")
-            codes = slots[:p - 1] + slots[p:]
-        else:
-            p = None
-            codes = self._key_codes
-        use_counter = self.use_counter
-        rows_s = self.source_rows
-        rows_l = self.target_rows
-        xs = []
-        for idx in codes:
-            if use_counter[idx]:
-                xs.append(c[idx])
-            else:
-                xs.append(rows_l[idx][j - 1] - rows_s[idx][i - 1] - c[idx])
-        r = tuple(xs)
-        return StateKey(p, i, (j - i) - sum(r), r)
-
-    def decode(self, key: StateKey) -> State:
-        """Unpack a key back into (i, j, c); malformed keys are rejected."""
-        d = self.d
-        expected_r = d - 1 if self.full else self.s
-        if not isinstance(key.r, tuple) or len(key.r) != expected_r:
-            raise MalformedStateKey(f"expected {expected_r} stored coordinates")
-        if self.full:
-            if key.p is None or not 1 <= key.p <= d:
-                raise MalformedStateKey("zero-counter slot must be in [1..d]")
-        elif key.p is not None:
-            raise MalformedStateKey("zero-counter slot only applies when every code is imbalanced")
-        if not 1 <= key.i <= self.n + 1:
-            raise MalformedStateKey(f"source position {key.i} outside [1..{self.n + 1}]")
-        if any(v < 0 for v in key.r):
-            raise MalformedStateKey("stored coordinates must be non-negative")
-        j = key.i + key.k + sum(key.r)
-        if not 1 <= j <= self.m + 1:
-            raise MalformedStateKey(f"recovered target position {j} outside [1..{self.m + 1}]")
-        order = self.reordering
-        xs: List[Optional[int]] = [0] * d
-        if self.full:
-            taken = iter(key.r)
-            for slot in range(d):
-                xs[order[slot] - 1] = None if slot == key.p - 1 else next(taken)
-        else:
-            for slot in range(self.s):
-                xs[order[slot] - 1] = key.r[slot]
-        c = [0] * d
-        i = key.i
-        for idx in range(d):
-            x = xs[idx]
-            if x is None:
-                ca = 0
-            elif x > max(self.stats.g_per_symbol[idx], 0):
-                raise MalformedStateKey(
-                    f"coordinate {x} for code {idx + 1} exceeds its imbalance"
-                )
-            elif self.use_counter[idx]:
-                ca = x
-            else:
-                ca = rank(self.target, j - 1, idx + 1) - rank(self.source, i - 1, idx + 1) - x
-            if not 0 <= ca <= self.stats.n_counts[idx]:
-                raise MalformedStateKey(f"counter {ca} for code {idx + 1} out of range")
-            c[idx] = ca
-        if d and min(c) != 0:
-            raise MalformedStateKey("no counter is zero")
-        return (i, j, tuple(c))
-
-
 @dataclass(frozen=True)
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``stats`` is the pair's difficulty profile, set on every result the
-    engine returns; ``state_bound`` and ``imbalanced_count`` read it.
-    ``reordering`` is the codec's slot order of the symbol codes.
-    ``states`` holds every evaluated (i, j, c) when the computation ran
-    with state recording on.
+    ``memo_entries`` counts the states the memoized DP cached; it is 0 on
+    the chain scan and for an infeasible pair, and never exceeds
+    ``stats.predicted_state_bound``.  ``stats`` is the pair's difficulty
+    profile, set on every result.  ``script`` is one optimal correction
+    script when one was asked for and the distance is finite.
     """
 
     distance: Cost
     memo_entries: int
     stats: InstanceStats
     script: Optional[Script] = None
-    reordering: Tuple[int, ...] = ()
-    states: Optional[Tuple[State, ...]] = None
-
-    @property
-    def state_bound(self) -> int:
-        """The instance's memo-size bound, which ``memo_entries`` never exceeds."""
-        return self.stats.predicted_state_bound
-
-    @property
-    def imbalanced_count(self) -> int:
-        """Number s of imbalanced symbol codes."""
-        return self.stats.s
 
     def weighted_cost(self, c_ins, c_swap) -> Cost:
         """Cost of an optimal script at per-operation prices.
@@ -329,17 +179,23 @@ class EngineResult:
 
 
 class _Computation:
-    """Single-use evaluation context; owns its memo exclusively."""
+    """Single-use solve of one feasible pair; owns its memo exclusively.
+
+    ``stats`` picks the solver: a pair with no imbalanced code runs the
+    chain scan and leaves the memo empty, any other runs the memoized DP.
+    Prefix-count rows are built per code on first use, by the DP only.
+    """
 
     def __init__(self, source: IndexedString, target: IndexedString,
-                 record_states: bool = False) -> None:
+                 stats: InstanceStats) -> None:
         self.source = source
         self.target = target
-        self.n = len(source)
-        self.m = len(target)
-        self.codec = StateCodec(source, target)
-        self.memo: Optional[dict] = {} if self.codec.s > 0 else None
-        self.states: Optional[List[State]] = [] if record_states else None
+        self.stats = stats
+        self.n = stats.n
+        self.m = stats.m
+        self.memo: dict = {}
+        self.source_rows = _PrefixRows(source)
+        self.target_rows = _PrefixRows(target)
 
     def _moves(self, i: int, j: int, c: Tuple[int, ...]):
         """Transitions out of a non-boundary state as (kind, edge, child)."""
@@ -356,14 +212,14 @@ class _Computation:
         moves = []
         idx = b - 1
         cb = c[idx]
-        rows_s = self.codec.source_rows
+        rows_s = self.source_rows
         # b's before position i; position i itself holds a != b
         before = rows_s[idx][i]
         # inserting b keeps the child feasible only while the free source
         # b's (those of the suffix not yet spoken for) fall short of the
         # target b's still needed
         if (source.per_symbol_count[idx] - before - cb
-                < target.per_symbol_count[idx] - self.codec.target_rows[idx][j - 1]):
+                < target.per_symbol_count[idx] - self.target_rows[idx][j - 1]):
             moves.append(("insert", 1, (i, j + 1, c)))
         occurrences = source.select_table[idx]
         kth = before + cb + 1
@@ -380,18 +236,13 @@ class _Computation:
             moves.append(("swap", (r - i) - ignored_before, (i, j + 1, tuple(raised))))
         return moves
 
-    def evaluate_state(self, i: int, j: int, c: Tuple[int, ...]) -> Optional[int]:
-        """Value of one scan state: an int cost, or None when unreachable.
-
-        Uses the computation's memo when the instance carries one, and a
-        scratch table otherwise.
-        """
-        return self._solve_memoized((i, j, tuple(c)))
-
     def _solve_memoized(self, start: State) -> Optional[int]:
-        memo = self.memo if self.memo is not None else {}
+        # Value of a scan state: an int cost, or None when unreachable.  The
+        # memo keys on the state itself.  A balanced code's counter is fixed
+        # by (i, j), and every reachable state has a zero counter, so the
+        # reachable states number at most memo_bound.
+        memo = self.memo
         n, m = self.n, self.m
-        record = self.states
         stack = [(False, start, None)]
         while stack:
             combining, state, moves = stack.pop()
@@ -407,8 +258,6 @@ class _Computation:
                 continue
             if state in memo:
                 continue
-            if record is not None:
-                record.append(state)
             i, j, c = state
             if i == n + 1:
                 memo[state] = (m - j + 1) if not any(c) else None
@@ -430,14 +279,13 @@ class _Computation:
         # counters, so no step costs O(d).  Given ``ops``, the scan also
         # appends the script operations it decides.  Positions p and q
         # are 0-based (state (p + 1, q + 1, c)); lists are indexed by code.
-        n, m, d = self.n, self.m, self.codec.d
+        n, m, d = self.n, self.m, self.stats.d
         s_syms = self.source.symbols
         l_syms = self.target.symbols
         select_s = [()] + self.source.select_table
         counts_s = [0] + self.source.per_symbol_count
         counts_l = [0] + self.target.per_symbol_count
         raw_of = self.source.alphabet.raw_of
-        record = self.states
         c = [0] * (d + 1)
         live = set()  # codes with a nonzero counter
         # occurrences of each code before source position p / target position q
@@ -447,8 +295,6 @@ class _Computation:
         remaining = 0
         total = 0
         while True:
-            if record is not None:
-                record.append((p + 1, q + 1, tuple(c[1:])))
             if p == n:
                 if remaining:
                     return None
@@ -508,29 +354,32 @@ class _Computation:
             q += 1
 
     def solve(self, ops: Optional[List] = None) -> Optional[int]:
-        """Distance of the whole pair.
+        """Distance of the whole pair, or None when it is unreachable.
 
-        Without a memo the chain scan also appends its script to ``ops``,
-        if given; with one, ``reconstruct`` replays the script afterwards.
+        Given ``ops`` and a finite distance, one optimal script is appended
+        to it: by the chain scan as it goes, or by ``reconstruct`` off the
+        memo once the DP is done.
         """
-        if self.memo is None:
+        if self.stats.s == 0:
             return self._solve_chain(ops)
-        return self._solve_memoized((1, 1, (0,) * self.codec.d))
+        value = self._solve_memoized((1, 1, (0,) * self.stats.d))
+        if ops is not None and value is not None:
+            self.reconstruct(ops)
+        return value
 
-    def reconstruct(self) -> Script:
-        """Rebuild one optimal script by replaying decisions off the memo.
+    def reconstruct(self, ops: List) -> None:
+        """Append one optimal script to ``ops`` by replaying the memo.
 
         Target positions are produced left to right; a swap commitment of
         the source occurrence at position r becomes an immediate run of
         adjacent swaps walking it down to the boundary.  Ties between the
         insert and swap branches go to the insertion.
         """
-        ops: List = []
         memo = self.memo
         raw_of = self.source.alphabet.raw_of
         l_syms = self.target.symbols
         n, m = self.n, self.m
-        i, j, c = 1, 1, (0,) * self.codec.d
+        i, j, c = 1, 1, (0,) * self.stats.d
         while True:
             if i == n + 1:
                 ops.extend(Insert(pos, raw_of(l_syms[pos - 1])) for pos in range(j, m + 1))
@@ -558,26 +407,22 @@ class _Computation:
             elif kind == "swap":
                 ops.extend(Swap(pos) for pos in range(j + edge - 1, j - 1, -1))
             i, j, c = child
-        return Script(tuple(ops))
 
 
 def feasible(source: IndexedString, target: IndexedString) -> bool:
     """True when no symbol occurs more often in the source than the target."""
-    _check_common_alphabet(source, target)
-    return all(na <= ma for na, ma in zip(source.per_symbol_count, target.per_symbol_count))
+    return InstanceStats.of(source, target).feasible
 
 
-def _run(source: IndexedString, target: IndexedString, with_script: bool,
-         record_states: bool) -> EngineResult:
-    if not feasible(source, target):
+def _run(source: IndexedString, target: IndexedString, with_script: bool) -> EngineResult:
+    stats = InstanceStats.of(source, target)
+    if not stats.feasible:
         # detected from the counts alone, before any state is evaluated
-        return EngineResult(distance=Cost.unreachable(), memo_entries=0,
-                            stats=InstanceStats.of(source, target))
-    comp = _Computation(source, target, record_states=record_states)
-    stats = comp.codec.stats
+        return EngineResult(distance=Cost.unreachable(), memo_entries=0, stats=stats)
+    comp = _Computation(source, target, stats)
     ops: Optional[List] = [] if with_script else None
     value = comp.solve(ops)
-    entries = len(comp.memo) if comp.memo is not None else 0
+    entries = len(comp.memo)
     bound = stats.predicted_state_bound
     if entries > bound:
         raise RuntimeError(
@@ -585,7 +430,7 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool,
         )
     script = None
     if with_script and value is not None:
-        script = Script(tuple(ops)) if comp.memo is None else comp.reconstruct()
+        script = Script(tuple(ops))
         if len(script) != value:
             raise RuntimeError(
                 f"internal error: script cost {len(script)} != distance {value}"
@@ -595,27 +440,24 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool,
         memo_entries=entries,
         stats=stats,
         script=script,
-        reordering=comp.codec.reordering,
-        states=tuple(comp.states) if comp.states is not None else None,
     )
 
 
-def distance(source: IndexedString, target: IndexedString,
-             record_states: bool = False) -> EngineResult:
+def distance(source: IndexedString, target: IndexedString) -> EngineResult:
     """Minimum number of insertions plus adjacent swaps turning source into target.
 
     Unreachable exactly when some symbol occurs more often in the source
     than in the target.
     """
-    return _run(source, target, with_script=False, record_states=record_states)
+    return _run(source, target, with_script=False)
 
 
-def distance_with_script(source: IndexedString, target: IndexedString,
-                         record_states: bool = False) -> EngineResult:
+def distance_with_script(source: IndexedString, target: IndexedString) -> EngineResult:
     """Like distance(), but also reconstructs one optimal correction script."""
-    if not feasible(source, target):
+    result = _run(source, target, with_script=True)
+    if result.script is None:
         raise ScriptUnavailable("the distance is unreachable, no script exists")
-    return _run(source, target, with_script=True, record_states=record_states)
+    return result
 
 
 def weighted_distance(source: IndexedString, target: IndexedString,
@@ -635,7 +477,7 @@ def swap_delete_distance(long_string: IndexedString, short_string: IndexedString
     reconstructed script is reversed, and every insertion is undone as a
     deletion at the same position.
     """
-    result = _run(short_string, long_string, with_script=True, record_states=False)
+    result = _run(short_string, long_string, with_script=True)
     if result.script is None:
         return result
     mirrored = tuple(
@@ -646,8 +488,7 @@ def swap_delete_distance(long_string: IndexedString, short_string: IndexedString
 
 
 def correction_distance(source: Sequence, target: Sequence,
-                        with_script: bool = False,
-                        record_states: bool = False) -> EngineResult:
+                        with_script: bool = False) -> EngineResult:
     """Distance between raw strings; builds the alphabet map and indexes.
 
     With ``with_script`` the script is included whenever the distance is
@@ -658,7 +499,6 @@ def correction_distance(source: Sequence, target: Sequence,
         index_string(source, alphabet),
         index_string(target, alphabet),
         with_script=with_script,
-        record_states=record_states,
     )
 
 

@@ -394,8 +394,13 @@ def exhaustive_oracle_check(
     """Compare the engine against both oracles on every small pair.
 
     Also audits the reconstructed script of every feasible pair.  This is
-    the trust anchor the rest of the test suite leans on.
+    the trust anchor the rest of the test suite leans on.  Raises
+    ``ValueError`` for an alphabet outside [1..62] or a negative length.
     """
+    if not 1 <= alphabet_size <= len(_SYMBOL_POOL):
+        raise ValueError(f"alphabet size must be in [1..{len(_SYMBOL_POOL)}], got {alphabet_size}")
+    if max_n < 0 or max_m < 0:
+        raise ValueError(f"maximum lengths must be non-negative, got {max_n} and {max_m}")
     alphabet = _SYMBOL_POOL[:alphabet_size]
     mismatches = []
     script_failures = []

@@ -157,6 +157,19 @@ def test_dist_from_files(tmp_path, capsys):
     assert "distance: 2" in out
 
 
+def test_files_keep_carriage_returns_inside_the_text(tmp_path, capsys):
+    # only one trailing line end is stripped; a "\r" inside the text is a symbol
+    src = tmp_path / "s.txt"
+    tgt = tmp_path / "l.txt"
+    src.write_bytes(b"a\rb\r\n")
+    tgt.write_bytes(b"b\ra\n")
+    code, out, _ = run_cli(capsys, "dist", str(src), str(tgt), "--files", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["source"], report["target"]) == ("a\rb", "b\ra")
+    assert report["distance"] == 3
+
+
 def test_dist_missing_file_reports_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dist", str(tmp_path / "nope"), str(tmp_path / "x"),
                            "--files")
@@ -170,6 +183,32 @@ def test_dist_from_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "dist", "--stdin")
     assert code == 0
     assert "distance: 2" in out
+
+
+def test_stdin_lines_end_only_at_newline(capsys, monkeypatch):
+    import io
+    # a form feed is a symbol, not a line break; one "\r" before "\n" is dropped
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\x0cb\r\nb\x0ca\n"))
+    code, out, _ = run_cli(capsys, "dist", "--stdin", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["source"], report["target"]) == ("a\x0cb", "b\x0ca")
+    assert report["distance"] == 3
+    monkeypatch.setattr("sys.stdin", io.StringIO("ba\n"))
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "--stdin"])
+    assert err.value.code == 1
+
+
+def test_stdin_bytes_lines_end_only_at_newline(capsys, monkeypatch):
+    import io
+    # a lone "\r" is byte 13, not a line break
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a\rb\nb\ra\r\n")))
+    code, out, _ = run_cli(capsys, "dist", "--stdin", "--bytes", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["source"], report["target"]) == ([97, 13, 98], [98, 13, 97])
+    assert report["distance"] == 3
 
 
 def test_dist_bytes_mode(capsys):
@@ -259,3 +298,21 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "checked 3937 pairs" in out
     assert "selftest passed" in out
+
+
+@pytest.mark.parametrize("bad", [["--max-n", "-1"], ["--max-m", "-1"],
+                                 ["--alphabet", "0"], ["--alphabet", "-3"],
+                                 ["--alphabet", "63"]])
+def test_selftest_rejects_bounds_it_cannot_honour(capsys, bad):
+    # small bounds first, so that a check which runs anyway stays short
+    with pytest.raises(SystemExit) as err:
+        main(["selftest", "--max-n", "1", "--max-m", "1", *bad])
+    assert err.value.code == 1
+    _, err_text = capsys.readouterr()
+    assert "error" in err_text
+
+
+def test_selftest_budget_overrun_is_not_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "selftest", "--max-n", "1", "--max-m", "1", "--budget", "1")
+    assert code == 3
+    assert "instance too large" in err

@@ -7,11 +7,9 @@ import pytest
 from swapinsert import (
     Cost,
     Insert,
-    MalformedStateKey,
+    InstanceStats,
     Script,
     ScriptUnavailable,
-    StateCodec,
-    StateKey,
     Swap,
     apply_script,
     build_alphabet,
@@ -28,6 +26,7 @@ from swapinsert import (
     ucs_distance,
     weighted_distance,
 )
+from swapinsert import engine
 from swapinsert.engine import _Computation
 
 from conftest import random_feasible_pair, random_pair
@@ -36,6 +35,15 @@ from conftest import random_feasible_pair, random_pair
 def indexed_pair(source, target):
     amap = build_alphabet(source, target)
     return index_string(source, amap), index_string(target, amap)
+
+
+def computation(source, target):
+    S, L = indexed_pair(source, target)
+    return _Computation(S, L, InstanceStats.of(S, L))
+
+
+def start_state(comp):
+    return (1, 1, (0,) * comp.stats.d)
 
 
 # -- feasibility ------------------------------------------------------------
@@ -64,10 +72,15 @@ def test_distance_examples():
     assert correction_distance("aa", "a").distance == Cost.unreachable()
 
 
-def test_infeasible_detected_without_recursion():
-    result = correction_distance("aa", "a")
-    assert result.memo_entries == 0
-    assert result.states is None
+def test_infeasible_detected_without_recursion(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a computation was built for an infeasible pair")
+    monkeypatch.setattr(engine, "_Computation", refuse)
+    for with_script in (False, True):
+        result = correction_distance("aa", "a", with_script=with_script)
+        assert result.distance == Cost.unreachable()
+        assert result.memo_entries == 0
+        assert result.script is None
 
 
 def test_both_empty():
@@ -94,54 +107,29 @@ def test_finite_distances_stay_within_loose_bound(rng):
 # -- state evaluation (internal surface) --------------------------------------
 
 def test_source_exhausted_leaves_only_insertions():
-    S, L = indexed_pair("ab", "abcde")
-    comp = _Computation(S, L)
-    n, m, d = 2, 5, len(S.alphabet.external_symbols)
+    comp = computation("ab", "abcde")
+    n, m, d = 2, 5, comp.stats.d
     for j in range(1, m + 2):
-        assert comp.evaluate_state(n + 1, j, (0,) * d) == m - j + 1
+        assert comp._solve_memoized((n + 1, j, (0,) * d)) == m - j + 1
 
 
 def test_target_exhausted_requires_all_remaining_ignored():
-    S, L = indexed_pair("ba", "ab")
-    comp = _Computation(S, L)
+    comp = computation("ba", "ab")
     m = 2
     # one remaining source symbol, spoken for: zero further cost
-    assert comp.evaluate_state(2, m + 1, (1, 0)) == 0
+    assert comp._solve_memoized((2, m + 1, (1, 0))) == 0
     # one remaining source symbol, not spoken for: no correction exists
-    assert comp.evaluate_state(2, m + 1, (0, 0)) is None
+    assert comp._solve_memoized((2, m + 1, (0, 0))) is None
 
 
 def test_hand_traced_swap_branch():
     # moving the needed symbol from position 2 costs one swap, then the
     # rest of the scan is free
-    S, L = indexed_pair("ab", "ba")
-    comp = _Computation(S, L)
-    assert comp.evaluate_state(1, 1, (0, 0)) == 1
+    comp = computation("ab", "ba")
+    assert comp._solve_memoized(start_state(comp)) == 1
 
 
-# -- state key encoding -------------------------------------------------------
-
-def test_initial_state_key_is_trivial():
-    S, L = indexed_pair("ba", "aab")
-    codec = StateCodec(S, L)
-    key = codec.encode(1, 1, (0, 0))
-    assert key.k == 0
-    assert all(r == 0 for r in key.r)
-
-
-def test_encode_decode_identity_on_recorded_states(rng):
-    seen = 0
-    while seen < 10_000:
-        source, target = random_feasible_pair(rng, max_d=4, max_n=8, max_m=12)
-        result = correction_distance(source, target, record_states=True)
-        S, L = indexed_pair(source, target)
-        codec = StateCodec(S, L)
-        for state in result.states:
-            i, j, c = state
-            assert codec.decode(codec.encode(i, j, c)) == state
-            seen += 1
-    assert seen >= 10_000
-
+# -- memoized DP -------------------------------------------------------------
 
 def _all_imbalanced_pair(rng, d):
     # every code has 0 < n_a < m_a, so s == d
@@ -157,11 +145,7 @@ def _all_imbalanced_pair(rng, d):
 
 @pytest.mark.parametrize("profile", ["balanced-g", "max-g"])
 @pytest.mark.parametrize("with_script", [False, True])
-def test_memo_path_never_encodes(monkeypatch, profile, with_script):
-    # the memo keys on the raw state; StateCodec.encode is not on the solve path
-    def refuse(*_args):
-        raise AssertionError("StateCodec.encode called while solving")
-    monkeypatch.setattr(StateCodec, "encode", refuse)
+def test_memo_path_runs_with_full_and_partial_imbalance(profile, with_script):
     pairs = [generate_instance(GeneratorSpec(d=d, n=24, m=36, profile=profile, seed=d))
              for d in (2, 3, 4)]
     # the generated pairs have 0 < s < d; add one with s == d
@@ -169,9 +153,9 @@ def test_memo_path_never_encodes(monkeypatch, profile, with_script):
     full = []
     for source, target in pairs:
         result = correction_distance(source, target, with_script=with_script)
-        assert 0 < result.imbalanced_count <= result.stats.d
-        full.append(result.imbalanced_count == result.stats.d)
-        assert result.memo_entries > 0
+        assert 0 < result.stats.s <= result.stats.d
+        full.append(result.stats.s == result.stats.d)
+        assert 0 < result.memo_entries <= result.stats.predicted_state_bound
         if with_script:
             assert apply_script(source, result.script) == target
     assert full == [False, False, False, True]
@@ -180,37 +164,19 @@ def test_memo_path_never_encodes(monkeypatch, profile, with_script):
 def test_zero_imbalance_uses_no_memo():
     # every symbol is balanced here, so evaluation runs as a plain scan
     result = correction_distance("bba", "abb")
-    assert result.imbalanced_count == 0
+    assert result.stats.s == 0
     assert result.memo_entries == 0
     assert result.distance == Cost.finite(2)
-
-
-def test_malformed_keys_rejected():
-    S, L = indexed_pair("ba", "aab")
-    codec = StateCodec(S, L)
-    good = codec.encode(1, 1, (0, 0))
-    with pytest.raises(MalformedStateKey):
-        codec.decode(good._replace(r=good.r + (0,)))
-    with pytest.raises(MalformedStateKey):
-        codec.decode(good._replace(i=99))
-    with pytest.raises(MalformedStateKey):
-        codec.decode(good._replace(k=99))
-    with pytest.raises(MalformedStateKey):
-        codec.decode(StateKey(p=1, i=1, k=0, r=good.r))
-    with pytest.raises(MalformedStateKey):
-        codec.decode(good._replace(r=(97,)))
-
-
-def test_codec_requires_feasible_pair():
-    with pytest.raises(ValueError):
-        StateCodec(*indexed_pair("aa", "a"))
 
 
 def test_zero_counter_invariant_in_every_visited_state(rng):
     for _ in range(60):
         source, target = random_feasible_pair(rng, max_d=4, max_n=8, max_m=10)
-        result = correction_distance(source, target, record_states=True)
-        for _i, _j, c in result.states:
+        comp = computation(source, target)
+        # run the DP on every pair, chain-scan pairs too: each visited state is a memo key
+        comp._solve_memoized(start_state(comp))
+        assert comp.memo
+        for _i, _j, c in comp.memo:
             assert not c or min(c) == 0
 
 
@@ -218,12 +184,12 @@ def test_memo_bound_never_exceeded(rng):
     for _ in range(150):
         source, target = random_pair(rng, max_d=4, max_n=8, max_m=10)
         result = correction_distance(source, target)
-        assert result.memo_entries <= result.state_bound
+        assert result.memo_entries <= result.stats.predicted_state_bound
 
 
 def _reachable_states(comp):
     # every state reachable from the start along _moves, found without the memo
-    start = (1, 1, (0,) * comp.codec.d)
+    start = start_state(comp)
     seen, todo = {start}, [start]
     while todo:
         i, j, c = todo.pop()
@@ -237,8 +203,8 @@ def _reachable_states(comp):
 
 
 def test_memo_entries_match_distinct_codec_keys():
-    # the memo holds one entry per reachable state, and the codec's bounded
-    # key tells every reachable state apart, so memo_bound bounds the memo
+    # the memo's distinct keys are exactly the states reachable along _moves,
+    # found here without the memo, and memo_bound bounds their number
     rng = random.Random(5150)
     full = 0
     for k in range(300):
@@ -247,15 +213,15 @@ def test_memo_entries_match_distinct_codec_keys():
             source, target = _all_imbalanced_pair(rng, d)
         else:
             source, target = random_feasible_pair(rng, max_d=d, max_n=9, max_m=12)
-        result = correction_distance(source, target, record_states=True)
-        if result.imbalanced_count == 0:
+        comp = computation(source, target)
+        if comp.stats.s == 0:
             continue
-        full += result.imbalanced_count == result.stats.d
-        reachable = _reachable_states(_Computation(*indexed_pair(source, target)))
-        codec = StateCodec(*indexed_pair(source, target))
-        keys = {codec.encode(*state) for state in reachable}
-        assert result.memo_entries == len(reachable) == len(keys), (source, target)
-        assert set(result.states) == reachable, (source, target)
+        full += comp.stats.s == comp.stats.d
+        comp.solve()
+        reachable = _reachable_states(comp)
+        assert set(comp.memo) == reachable, (source, target)
+        assert len(reachable) <= comp.stats.predicted_state_bound, (source, target)
+        assert correction_distance(source, target).memo_entries == len(reachable)
     assert full >= 100
 
 
@@ -353,14 +319,15 @@ def test_large_alphabet_zero_imbalance_matches_forced_matching():
         seen[sym] = seen.get(sym, 0) + 1
     expected = len(target) - len(source) + _inversions(matched)[0]
 
-    comp = _Computation(index_string(source, amap), index_string(target, amap))
+    S, L = index_string(source, amap), index_string(target, amap)
+    comp = _Computation(S, L, InstanceStats.of(S, L))
     ops = []
     assert comp.solve(ops) == expected
     script = Script(tuple(ops))
     assert len(script) == expected
     assert apply_script(source, script) == target
     # the chain scan never builds a prefix-count row
-    assert not comp.codec.source_rows and not comp.codec.target_rows
+    assert not comp.source_rows and not comp.target_rows and not comp.memo
 
 
 def test_insertion_preferred_on_ties():
@@ -390,7 +357,8 @@ def _sweep_cases():
     # Each line after the pair was written from
     # correction_distance(source, target, with_script=True), read through
     # _op_text, at commit 638f5586d3c65be4a5f2ab3889c0483ce1d4fe3a, while
-    # the memo still keyed on StateCodec keys; extend the sweep the same way.
+    # the memo still keyed on the paper's bounded state keys; extend the
+    # sweep the same way.
     for line in SWEEP.read_text().splitlines():
         source, target, value, *ops = line.split(" ")
         yield ("" if source == "-" else source), target, int(value), ops
@@ -414,20 +382,20 @@ def test_reconstruct_inserts_on_every_tie_in_the_sweep():
     # insert and swap branches cost the same, the script must insert
     ties = 0
     for source, target, _value, _ops in _sweep_cases():
-        comp = _Computation(*indexed_pair(source, target))
-        if comp.memo is None:
+        comp = computation(source, target)
+        if comp.stats.s == 0:
             continue
-        comp.solve()
-        ops = list(comp.reconstruct().ops)
-        i, j, c = 1, 1, (0,) * comp.codec.d
+        ops = []
+        comp.solve(ops)
+        i, j, c = start_state(comp)
         while i <= comp.n and j <= comp.m:
             moves = {kind: (edge, child) for kind, edge, child in comp._moves(i, j, c)}
             # only an insert at this state emits an insert at position j
             inserted = "insert" in moves and ops[:1] == [Insert(j, target[j - 1])]
             if len(moves) == 2:
                 (ins_edge, ins_child), (swap_edge, swap_child) = moves.values()
-                ins = comp.evaluate_state(*ins_child)
-                swap = comp.evaluate_state(*swap_child)
+                ins = comp.memo[ins_child]
+                swap = comp.memo[swap_child]
                 if ins is not None and swap is not None and ins_edge + ins == swap_edge + swap:
                     ties += 1
                     assert inserted, (source, target, (i, j, c))

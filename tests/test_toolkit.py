@@ -8,6 +8,7 @@ from swapinsert import (
     GeneratorSpec,
     InfeasibleProfile,
     correction_distance,
+    exhaustive_oracle_check,
     generate_instance,
     instance_stats,
     run_bench,
@@ -229,3 +230,16 @@ def test_memo_entries_nondecreasing_in_state_bound():
     levels.sort()
     means = [entry for _bound, entry in levels]
     assert all(a <= b for a, b in zip(means, means[1:])), levels
+
+
+@pytest.mark.parametrize("kwargs", [{"alphabet_size": 0}, {"alphabet_size": -3},
+                                    {"alphabet_size": 63}, {"max_n": -1}, {"max_m": -1}])
+def test_exhaustive_check_rejects_bounds_it_cannot_honour(kwargs):
+    with pytest.raises(ValueError):
+        exhaustive_oracle_check(**{"max_n": 1, "max_m": 1, **kwargs})
+
+
+def test_exhaustive_check_accepts_the_whole_symbol_pool():
+    report = exhaustive_oracle_check(max_n=0, max_m=1, alphabet_size=62)
+    assert report.ok
+    assert report.pairs == 63
