@@ -36,6 +36,10 @@ from .toolkit import (
 )
 
 
+class _InputError(Exception):
+    """An input that cannot be read; reported as an ``error:`` line, exit 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, keeping 2 and 3 free for outcomes
     def error(self, message):
@@ -77,21 +81,17 @@ def _add_input_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _read_file(path: str, as_bytes: bool):
-    if as_bytes:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if data.endswith(b"\r\n"):
-            return data[:-2]
-        if data.endswith(b"\n"):
-            return data[:-1]
-        return data
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # one trailing line end is stripped; text is strict UTF-8
+    with open(path, "rb") as handle:
         data = handle.read()
-    if data.endswith("\r\n"):
-        return data[:-2]
-    if data.endswith("\n"):
-        return data[:-1]
-    return data
+    if data.endswith(b"\n"):
+        data = data[:-2] if data.endswith(b"\r\n") else data[:-1]
+    if as_bytes:
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from None
 
 
 def _stdin_lines(data):
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="insertion weight (default 1)")
     dist.add_argument("--c-swap", type=_fraction, default=Fraction(1),
                       help="swap weight (default 1)")
-    dist.set_defaults(handler=_cmd_dist)
+    dist.set_defaults(handler=_cmd_dist, parser=dist)
 
     oracle = commands.add_parser("oracle",
                                  help="compare the engine against both oracles")
@@ -372,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search/enumeration budget for the oracles")
     oracle.add_argument("--c-ins", type=_fraction, default=Fraction(1))
     oracle.add_argument("--c-swap", type=_fraction, default=Fraction(1))
-    oracle.set_defaults(handler=_cmd_oracle)
+    oracle.set_defaults(handler=_cmd_oracle, parser=oracle)
 
     stats = commands.add_parser("stats", help="print instance difficulty measures")
     _add_input_arguments(stats)
     stats.add_argument("--json", action="store_true")
-    stats.set_defaults(handler=_cmd_stats)
+    stats.set_defaults(handler=_cmd_stats, parser=stats)
 
     bench = commands.add_parser("bench", help="run a benchmark sweep")
     bench.add_argument("--profile", choices=("zero-g", "balanced-g", "max-g"),
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timing runs per instance, median kept (default 5)")
     bench.add_argument("--out", default="bench",
                        help="output prefix for <out>.csv and <out>.json")
-    bench.set_defaults(handler=_cmd_bench)
+    bench.set_defaults(handler=_cmd_bench, parser=bench)
 
     selftest = commands.add_parser(
         "selftest", help="exhaustive engine-vs-oracle equivalence suite")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--max-m", type=int, default=6)
     selftest.add_argument("--alphabet", type=int, default=2)
     selftest.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
-    selftest.set_defaults(handler=_cmd_selftest)
+    selftest.set_defaults(handler=_cmd_selftest, parser=selftest)
 
     return parser
 
@@ -418,8 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "handler", None) is None:
         parser.error("a subcommand is required")
     try:
-        return args.handler(args, parser)
-    except OSError as exc:
+        # late usage errors print the subcommand's own usage line
+        return args.handler(args, args.parser)
+    except (OSError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

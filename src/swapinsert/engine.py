@@ -9,15 +9,17 @@ reduce a state: skip a spoken-for source symbol, match equal heads,
 insert the target head, or commit the nearest free source occurrence of
 the target head to a leftward swap move.
 
-There are two solvers.  Instances whose per-symbol imbalance is zero
-everywhere never branch, so they run as a plain forward scan with no
-memo at all; that is what makes the equal-length, swap-only case
-effectively linear.  The scan keeps running prefix counts and visits
-only nonzero counters, so no step of it costs O(d).  Every other
-instance runs a memoized DP over the states (i, j, c) themselves, which
-reads prefix-count rows built per code; its memo stays within the
-paper's adaptive bound ``memo_bound``, and the engine checks that on
-every solve.
+There are two solvers, and one forward walk writes the script of both.
+Instances whose per-symbol imbalance is zero everywhere never branch, so
+the walk alone solves them, with no memo at all; that is what makes the
+equal-length, swap-only case effectively linear.  The walk keeps running
+prefix counts and visits only nonzero counters, so no step of it costs
+O(d).  Every other instance runs a memoized DP over the states (i, j, c)
+themselves, which reads prefix-count rows built per code; its memo stays
+within the paper's adaptive bound ``memo_bound``, and the engine checks
+that on every solve.  When a script is asked for, the same walk then
+runs from the start state and reads the memo only where the insert and
+the swap rule both apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
@@ -150,11 +152,11 @@ class _PrefixRows(dict):
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``memo_entries`` counts the states the memoized DP cached; it is 0 on
-    the chain scan and for an infeasible pair, and never exceeds
-    ``stats.predicted_state_bound``.  ``stats`` is the pair's difficulty
-    profile, set on every result.  ``script`` is one optimal correction
-    script when one was asked for and the distance is finite.
+    ``memo_entries`` counts the states the memoized DP cached; it is 0 for
+    a pair with no imbalanced symbol and for an infeasible pair, and never
+    exceeds ``stats.predicted_state_bound``.  ``stats`` is the pair's
+    difficulty profile, set on every result.  ``script`` is one optimal
+    correction script when one was asked for and the distance is finite.
     """
 
     distance: Cost
@@ -181,9 +183,10 @@ class EngineResult:
 class _Computation:
     """Single-use solve of one feasible pair; owns its memo exclusively.
 
-    ``stats`` picks the solver: a pair with no imbalanced code runs the
-    chain scan and leaves the memo empty, any other runs the memoized DP.
-    Prefix-count rows are built per code on first use, by the DP only.
+    ``stats`` picks the solver: a pair with no imbalanced code runs only
+    the forward walk and leaves the memo empty, any other runs the memoized
+    DP, after which the same walk writes the script.  Prefix-count rows are
+    built per code on first use, by the DP only.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -272,14 +275,18 @@ class _Computation:
                     stack.append((False, child, None))
         return memo[start]
 
-    def _solve_chain(self, ops: Optional[List] = None) -> Optional[int]:
-        # With no imbalanced symbol at most one rule ever applies, so the
-        # whole evaluation is one forward scan and needs no memo.  Prefix
-        # counts advance with the scan, and a swap visits only the nonzero
-        # counters, so no step costs O(d).  Given ``ops``, the scan also
-        # appends the script operations it decides.  Positions p and q
-        # are 0-based (state (p + 1, q + 1, c)); lists are indexed by code.
+    def _walk(self, ops: Optional[List]) -> Optional[int]:
+        # One forward scan from the start state, appending the script to
+        # ``ops`` when given.  Prefix counts advance with the scan, and a
+        # swap visits only the nonzero counters, so no step costs O(d).  At
+        # most one rule applies at a state, except where the insert test
+        # and a free source b both hold: there the DP's memo picks the
+        # cheaper child, and a tie goes to the insert.  With an empty memo
+        # (no imbalanced symbol) such a state must not occur.  Positions p
+        # and q are 0-based (state (p + 1, q + 1, c)); lists are indexed by
+        # code.
         n, m, d = self.n, self.m, self.stats.d
+        memo = self.memo
         s_syms = self.source.symbols
         l_syms = self.target.symbols
         select_s = [()] + self.source.select_table
@@ -324,13 +331,9 @@ class _Computation:
             before = before_s[b]
             occurrences = select_s[b]
             kth = before + cb + 1
-            if kth <= len(occurrences):
-                # the insert test of _moves: with zero imbalance the free
-                # source b's never fall short, so only the swap is open
-                if counts_s[b] - before - cb < counts_l[b] - before_l[b]:
-                    raise RuntimeError(
-                        "branching state reached in a zero-imbalance instance"
-                    )
+            # with no free b left in the source the insert test holds
+            swap = kth <= len(occurrences)
+            if swap:
                 r = occurrences[kth - 1]
                 ignored_before = 0
                 for t in live:
@@ -338,6 +341,18 @@ class _Computation:
                     inside = bisect_right(select_s[t], r) - before_s[t]
                     ignored_before += ct if ct < inside else inside
                 edge = (r - p - 1) - ignored_before
+                # the insert test of _moves
+                if counts_s[b] - before - cb < counts_l[b] - before_l[b]:
+                    if not memo:
+                        raise RuntimeError(
+                            "branching state reached in a zero-imbalance instance"
+                        )
+                    key = tuple(c[1:])
+                    ins_value = memo[(p + 1, q + 2, key)]
+                    swap_value = memo[(p + 1, q + 2, key[:b - 1] + (cb + 1,) + key[b:])]
+                    swap = ins_value is None or (
+                        swap_value is not None and edge + swap_value < 1 + ins_value)
+            if swap:
                 if ops is not None:
                     ops.extend(Swap(pos) for pos in range(q + edge, q, -1))
                 total += edge
@@ -345,8 +360,6 @@ class _Computation:
                 live.add(b)
                 remaining += 1
             else:
-                # no free b is left in the source while the target still
-                # needs this one, so the insert test holds
                 if ops is not None:
                     ops.append(Insert(q + 1, raw_of(b)))
                 total += 1
@@ -357,56 +370,18 @@ class _Computation:
         """Distance of the whole pair, or None when it is unreachable.
 
         Given ``ops`` and a finite distance, one optimal script is appended
-        to it: by the chain scan as it goes, or by ``reconstruct`` off the
-        memo once the DP is done.
+        to it by the forward walk: on a pair with no imbalanced symbol the
+        walk is the whole solve, otherwise it follows the memo once the DP
+        is done.  Target positions are produced left to right; a swap
+        commitment of the source occurrence at position r becomes an
+        immediate run of adjacent swaps walking it down to the boundary.
         """
         if self.stats.s == 0:
-            return self._solve_chain(ops)
+            return self._walk(ops)
         value = self._solve_memoized((1, 1, (0,) * self.stats.d))
         if ops is not None and value is not None:
-            self.reconstruct(ops)
+            self._walk(ops)
         return value
-
-    def reconstruct(self, ops: List) -> None:
-        """Append one optimal script to ``ops`` by replaying the memo.
-
-        Target positions are produced left to right; a swap commitment of
-        the source occurrence at position r becomes an immediate run of
-        adjacent swaps walking it down to the boundary.  Ties between the
-        insert and swap branches go to the insertion.
-        """
-        memo = self.memo
-        raw_of = self.source.alphabet.raw_of
-        l_syms = self.target.symbols
-        n, m = self.n, self.m
-        i, j, c = 1, 1, (0,) * self.stats.d
-        while True:
-            if i == n + 1:
-                ops.extend(Insert(pos, raw_of(l_syms[pos - 1])) for pos in range(j, m + 1))
-                break
-            if j == m + 1:
-                break
-            moves = self._moves(i, j, c)
-            if not moves:
-                raise RuntimeError("optimal path hit a dead end during reconstruction")
-            if len(moves) == 1:
-                kind, edge, child = moves[0]
-            else:
-                # _moves lists the insert branch first
-                totals = []
-                for _kind, edge, child in moves:
-                    value = memo[child]
-                    totals.append(None if value is None else edge + value)
-                ins_total, swap_total = totals
-                if swap_total is None or (ins_total is not None and ins_total <= swap_total):
-                    kind, edge, child = moves[0]
-                else:
-                    kind, edge, child = moves[1]
-            if kind == "insert":
-                ops.append(Insert(j, raw_of(l_syms[j - 1])))
-            elif kind == "swap":
-                ops.extend(Swap(pos) for pos in range(j + edge - 1, j - 1, -1))
-            i, j, c = child
 
 
 def feasible(source: IndexedString, target: IndexedString) -> bool:

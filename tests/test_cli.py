@@ -177,6 +177,39 @@ def test_dist_missing_file_reports_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_files_that_are_not_utf8_report_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    ok = tmp_path / "ok.txt"
+    bad.write_bytes(b"\xffa")
+    ok.write_bytes(b"ab\n")
+    code, out, err = run_cli(capsys, "dist", str(bad), str(ok), "--files")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
+    assert "can't decode byte 0xff" in err
+    # as bytes the same file reads fine: byte 255 is absent from the target
+    code, out, _ = run_cli(capsys, "dist", str(bad), str(ok), "--files", "--bytes", "--json")
+    assert code == 2
+    assert json.loads(out)["source"] == [255, 97]
+
+
+def test_late_usage_errors_print_the_subcommand_usage(capsys, monkeypatch):
+    import io
+    with pytest.raises(SystemExit) as err:
+        main(["selftest", "--alphabet", "70"])
+    assert err.value.code == 1
+    _, err_text = capsys.readouterr()
+    assert err_text.startswith("usage: swapinsert selftest")
+    assert "error: alphabet size must be in [1..62], got 70" in err_text
+    monkeypatch.setattr("sys.stdin", io.StringIO("ba\n"))
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "--stdin"])
+    assert err.value.code == 1
+    _, err_text = capsys.readouterr()
+    assert err_text.startswith("usage: swapinsert dist")
+    assert "error: expected two input lines on stdin" in err_text
+
+
 def test_dist_from_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("ba\naab\n"))

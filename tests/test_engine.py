@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -405,6 +406,35 @@ def test_reconstruct_inserts_on_every_tie_in_the_sweep():
             del ops[:edge]
         assert len(ops) == (comp.m - j + 1 if i > comp.n else 0)
     assert ties >= 100
+
+
+def test_walk_after_the_dp_returns_the_memo_value():
+    # the walk that writes a memo-path script follows an optimal path, so
+    # its own running cost ends at the DP's value of the start state
+    walked = 0
+    for source, target, value, _ops in _sweep_cases():
+        comp = computation(source, target)
+        if comp.stats.s == 0:
+            continue
+        start = start_state(comp)
+        assert comp._solve_memoized(start) == value
+        ops = []
+        assert comp._walk(ops) == comp.memo[start], (source, target)
+        assert len(ops) == value
+        walked += 1
+    assert walked >= 1000
+
+
+def test_branching_state_without_imbalance_is_rejected():
+    # ("ba", "aab") has s = 1 and branches at its start state; told that no
+    # symbol is imbalanced, the walk runs without a memo and must not guess
+    S, L = indexed_pair("ba", "aab")
+    stats = InstanceStats.of(S, L)
+    assert stats.s == 1
+    comp = _Computation(S, L, dataclasses.replace(stats, s=0))
+    with pytest.raises(RuntimeError, match="branching state"):
+        comp.solve()
+    assert not comp.memo
 
 
 def test_scripts_replay_on_random_instances(rng):
