@@ -68,6 +68,16 @@ def _sizes(text: str) -> List[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_input_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("source", nargs="?", help="source string (file path with --files)")
     sub.add_argument("target", nargs="?", help="target string (file path with --files)")
@@ -80,18 +90,21 @@ def _add_input_arguments(sub: argparse.ArgumentParser) -> None:
                      help="treat inputs as byte sequences instead of unicode text")
 
 
+def _decode(data: bytes, name: str) -> str:
+    # text input is strict UTF-8, whatever the locale
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{name}: {exc}") from None
+
+
 def _read_file(path: str, as_bytes: bool):
-    # one trailing line end is stripped; text is strict UTF-8
+    # one trailing line end is stripped
     with open(path, "rb") as handle:
         data = handle.read()
     if data.endswith(b"\n"):
         data = data[:-2] if data.endswith(b"\r\n") else data[:-1]
-    if as_bytes:
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: {exc}") from None
+    return data if as_bytes else _decode(data, path)
 
 
 def _stdin_lines(data):
@@ -108,7 +121,8 @@ def _resolve_inputs(args, parser: argparse.ArgumentParser):
     if args.stdin:
         if args.source is not None or args.target is not None:
             parser.error("--stdin takes no positional strings")
-        lines = _stdin_lines(sys.stdin.buffer.read() if args.as_bytes else sys.stdin.read())
+        data = sys.stdin.buffer.read()
+        lines = _stdin_lines(data if args.as_bytes else _decode(data, "<stdin>"))
         if len(lines) < 2:
             parser.error("expected two input lines on stdin")
         return lines[0], lines[1]
@@ -368,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="compare the engine against both oracles")
     _add_input_arguments(oracle)
     oracle.add_argument("--json", action="store_true")
-    oracle.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+    oracle.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET,
                         help="search/enumeration budget for the oracles")
     oracle.add_argument("--c-ins", type=_fraction, default=Fraction(1))
     oracle.add_argument("--c-swap", type=_fraction, default=Fraction(1))
@@ -388,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--m-ratio", type=float, default=1.0,
                        help="target length as a multiple of n (default 1.0)")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=5,
+    bench.add_argument("--repeats", type=_positive_int, default=5,
                        help="timing runs per instance, median kept (default 5)")
     bench.add_argument("--out", default="bench",
                        help="output prefix for <out>.csv and <out>.json")
@@ -399,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--max-n", type=int, default=4)
     selftest.add_argument("--max-m", type=int, default=6)
     selftest.add_argument("--alphabet", type=int, default=2)
-    selftest.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
+    selftest.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET)
     selftest.set_defaults(handler=_cmd_selftest, parser=selftest)
 
     return parser

@@ -1,47 +1,49 @@
 """Correction distance for insert + adjacent-swap editing, with scripts.
 
-The computation scans the source and target left to right.  A scan state
-(i, j, c) reads: target positions before j are already produced, source
-positions before i are already consumed, and for each symbol code a,
-``c[a-1]`` of the remaining source occurrences of a are spoken for by
+The distance is (m - n) plus the fewest crossings over per-symbol
+order-preserving matchings of the source into the target.
+
+A forward walk scans the source and target left to right.  Its scan
+state (i, j, c) reads: target positions before j are already produced,
+source positions before i are already consumed, and for each symbol code
+a, ``c[a]`` of the remaining source occurrences of a are spoken for by
 swap moves decided earlier and must be skipped when reached.  Four rules
 reduce a state: skip a spoken-for source symbol, match equal heads,
 insert the target head, or commit the nearest free source occurrence of
-the target head to a leftward swap move.
+the target head to a leftward swap move.  The walk visits only nonzero
+counters, so no step of it costs O(d).
 
-There are two solvers, and one forward walk writes the script of both.
-Instances whose per-symbol imbalance is zero everywhere never branch, so
-the walk alone solves them, with no memo at all; that is what makes the
-equal-length, swap-only case effectively linear.  The walk keeps running
-prefix counts and visits only nonzero counters, so no step of it costs
-O(d).  Every other instance runs a memoized DP over the states (i, j, c)
-themselves, which reads prefix-count rows built per code; its memo stays
-within the paper's adaptive bound ``memo_bound``, and the engine checks
-that on every solve.  When a script is asked for, the same walk then
-runs from the start state and reads the memo only where the insert and
-the swap rule both apply, taking the insert on a tie.
+A pair whose per-symbol imbalance is zero everywhere never branches, so
+the walk alone solves it, with no memo at all; that is what makes the
+equal-length, swap-only case effectively linear.  Any other pair first
+runs a sweep over target positions.  A state of layer q (q target
+positions produced) holds the matched count k_a of each imbalanced code
+a, whose first k_a source occurrences are matched; a balanced code's
+count is fixed by q.  At target q + 1 = b a state may match b to its
+next source occurrence r, at the cost of the unmatched source positions
+before r (those of balanced codes counted by one Fenwick tree the
+layer's states share), or insert b at cost 1 while fewer than m_b - n_b
+b's were inserted.  A zero-cost match is forced, and a state with every
+source position matched is terminal.  A layer holds at most the product of
+(g_a + 1), so the m + 1 layers stay within the paper's adaptive bound
+``memo_bound``, which the engine checks on every solve.  For a script,
+the walk then reads the sweep's cost-to-go where the insert and the swap
+rule both apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
 indexes' per-symbol counts, picks the solver, and is returned as
 ``EngineResult.stats``; the weighted cost is arithmetic on the result
 (``EngineResult.weighted_cost``).
-
-Evaluation uses an explicit work stack instead of native recursion: the
-reduction depth grows with n + m and would overflow the interpreter
-stack on large inputs.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from .cost import Cost
 from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string
 from .scripts import Delete, Insert, Script, Swap
-
-State = Tuple[int, int, Tuple[int, ...]]
 
 
 class ScriptUnavailable(ValueError):
@@ -123,36 +125,11 @@ class InstanceStats:
         )
 
 
-class _PrefixRows(dict):
-    """Prefix-count rows of one indexed string, each built on first use.
-
-    ``rows[code - 1][i]`` is the number of occurrences of ``code`` among
-    the first i symbols.  A row costs O(n), so rows exist only for the
-    codes that are actually queried.
-    """
-
-    __slots__ = ("_indexed",)
-
-    def __init__(self, indexed: IndexedString) -> None:
-        super().__init__()
-        self._indexed = indexed
-
-    def __missing__(self, idx: int) -> List[int]:
-        occ = self._indexed.select_table[idx]
-        # a row is flat runs of each prefix count, one run per gap
-        bounds = [0] + occ
-        gaps = [b - a for a, b in zip(bounds, bounds[1:])]
-        gaps.append(len(self._indexed) + 1 - bounds[-1])
-        row = list(chain.from_iterable(map(repeat, range(len(occ) + 1), gaps)))
-        self[idx] = row
-        return row
-
-
 @dataclass(frozen=True)
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``memo_entries`` counts the states the memoized DP cached; it is 0 for
+    ``memo_entries`` counts the states the sweep priced; it is 0 for
     a pair with no imbalanced symbol and for an infeasible pair, and never
     exceeds ``stats.predicted_state_bound``.  ``stats`` is the pair's
     difficulty profile, set on every result.  ``script`` is one optimal
@@ -181,12 +158,12 @@ class EngineResult:
 
 
 class _Computation:
-    """Single-use solve of one feasible pair; owns its memo exclusively.
+    """Single-use solve of one feasible pair; owns its layers exclusively.
 
     ``stats`` picks the solver: a pair with no imbalanced code runs only
-    the forward walk and leaves the memo empty, any other runs the memoized
-    DP, after which the same walk writes the script.  Prefix-count rows are
-    built per code on first use, by the DP only.
+    the forward walk and builds no layer, any other runs the sweep, after
+    which the same walk writes the script.  ``layers[q]`` maps each state
+    of layer q to its cost-to-go once the sweep is done.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -196,97 +173,98 @@ class _Computation:
         self.stats = stats
         self.n = stats.n
         self.m = stats.m
-        self.memo: dict = {}
-        self.source_rows = _PrefixRows(source)
-        self.target_rows = _PrefixRows(target)
+        self.imbalanced = [a for a, g in enumerate(stats.g_per_symbol, 1) if g > 0]
+        self.layers: List[dict] = []
 
-    def _moves(self, i: int, j: int, c: Tuple[int, ...]):
-        """Transitions out of a non-boundary state as (kind, edge, child)."""
-        source, target = self.source, self.target
-        a = source.symbols[i - 1]
-        if c[a - 1] > 0:
-            # this source symbol was spoken for by an earlier swap commitment
-            lowered = list(c)
-            lowered[a - 1] -= 1
-            return [("skip", 0, (i + 1, j, tuple(lowered)))]
-        b = target.symbols[j - 1]
-        if a == b:
-            return [("match", 0, (i + 1, j + 1, c))]
-        moves = []
-        idx = b - 1
-        cb = c[idx]
-        rows_s = self.source_rows
-        # b's before position i; position i itself holds a != b
-        before = rows_s[idx][i]
-        # inserting b keeps the child feasible only while the free source
-        # b's (those of the suffix not yet spoken for) fall short of the
-        # target b's still needed
-        if (source.per_symbol_count[idx] - before - cb
-                < target.per_symbol_count[idx] - self.target_rows[idx][j - 1]):
-            moves.append(("insert", 1, (i, j + 1, c)))
-        occurrences = source.select_table[idx]
-        kth = before + cb + 1
-        if kth <= len(occurrences):
-            r = occurrences[kth - 1]
-            ignored_before = 0
-            for t, ct in enumerate(c):
-                if ct:
-                    row_t = rows_s[t]
-                    inside = row_t[r] - row_t[i - 1]
-                    ignored_before += ct if ct < inside else inside
-            raised = list(c)
-            raised[idx] += 1
-            moves.append(("swap", (r - i) - ignored_before, (i, j + 1, tuple(raised))))
-        return moves
-
-    def _solve_memoized(self, start: State) -> Optional[int]:
-        # Value of a scan state: an int cost, or None when unreachable.  The
-        # memo keys on the state itself.  A balanced code's counter is fixed
-        # by (i, j), and every reachable state has a zero counter, so the
-        # reachable states number at most memo_bound.
-        memo = self.memo
-        n, m = self.n, self.m
-        stack = [(False, start, None)]
-        while stack:
-            combining, state, moves = stack.pop()
-            if combining:
-                best = None
-                for _kind, edge, child in moves:
-                    value = memo[child]
-                    if value is not None:
-                        total = edge + value
-                        if best is None or total < best:
-                            best = total
-                memo[state] = best
-                continue
-            if state in memo:
-                continue
-            i, j, c = state
-            if i == n + 1:
-                memo[state] = (m - j + 1) if not any(c) else None
-                continue
-            if j == m + 1:
-                memo[state] = 0 if sum(c) == n - i + 1 else None
-                continue
-            moves = self._moves(i, j, c)
-            stack.append((True, state, moves))
-            for _kind, _edge, child in moves:
-                if child not in memo:
-                    stack.append((False, child, None))
-        return memo[start]
+    def _sweep(self) -> int:
+        # The forward pass collects each layer's states, keyed by the
+        # imbalanced codes' matched counts.  A state first holds (edge,
+        # child, can_insert): the match cost and child (edge None when no
+        # source b is left) and whether b may be inserted, keeping the key;
+        # the backward pass overwrites it with its cost-to-go.  Positions
+        # are 1-based, lists are indexed by code.
+        n, m, d = self.n, self.m, self.stats.d
+        l_syms = self.target.symbols
+        select_s = [()] + self.source.select_table
+        imbalanced = self.imbalanced
+        slot = {a: idx for idx, a in enumerate(imbalanced)}
+        spare = [0] + [ma - na for na, ma in zip(self.stats.n_counts, self.stats.m_counts)]
+        tree = [0] * (n + 1)  # Fenwick tree over the balanced codes' matched positions
+        before_l = [0] * (d + 1)
+        rest = n  # source positions no balanced code has matched
+        layers = self.layers
+        start = (0,) * len(imbalanced)
+        layer = {start: None}
+        for q in range(m):
+            layers.append(layer)
+            following = {}
+            b = l_syms[q]
+            idx = slot.get(b)
+            occurrences = select_s[b]
+            # b's matched count -> (positions before r that no balanced code
+            # matched, rank of r in each imbalanced code), shared by the layer
+            cache = {}
+            for key in layer:
+                if sum(key) == rest:
+                    # every source position is matched: only inserts remain
+                    layer[key] = m - q
+                    continue
+                k = before_l[b] if idx is None else key[idx]
+                edge = child = None
+                if k < len(occurrences):
+                    found = cache.get(k)
+                    if found is None:
+                        r = occurrences[k]
+                        at, matched = r - 1, 0
+                        while at:
+                            matched += tree[at]
+                            at &= at - 1
+                        found = cache[k] = (r - 1 - matched, [
+                            bisect_left(select_s[u], r) for u in imbalanced])
+                    edge = found[0] - sum(map(min, key, found[1]))
+                    child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
+                    following[child] = None
+                # a zero-cost match is forced
+                can_insert = before_l[b] - k < spare[b] and edge != 0
+                if can_insert:
+                    following[key] = None
+                layer[key] = (edge, child, can_insert)
+            if idx is None and occurrences:
+                # a balanced code present in the source matches its next occurrence
+                at = occurrences[before_l[b]]
+                while at <= n:
+                    tree[at] += 1
+                    at += at & -at
+                rest -= 1
+            before_l[b] += 1
+            layer = following
+        layers.append(dict.fromkeys(layer, 0))
+        for q in range(m - 1, -1, -1):
+            layer, following = layers[q], layers[q + 1]
+            for key, entry in layer.items():
+                if entry.__class__ is int:
+                    continue
+                edge, child, can_insert = entry
+                if edge is None:
+                    layer[key] = 1 + following[key]
+                elif can_insert:
+                    layer[key] = min(1 + following[key], edge + following[child])
+                else:
+                    layer[key] = edge + following[child]
+        return layers[0][start]
 
     def _walk(self, ops: Optional[List]) -> Optional[int]:
         # One forward scan from the start state, appending the script to
         # ``ops`` when given.  Prefix counts advance with the scan, and a
         # swap visits only the nonzero counters, so no step costs O(d).  At
         # most one rule applies at a state, except where the insert test
-        # and a free source b both hold: there the DP's memo picks the
-        # cheaper child, and a tie goes to the insert.  With an empty memo
-        # (no imbalanced symbol) such a state must not occur.  Positions p
+        # and a free source b both hold: there the sweep's layers pick the
+        # cheaper child, and a tie goes to the insert.  Without layers (no
+        # imbalanced symbol) such a state must not occur.  Positions p
         # and q are 0-based (state (p + 1, q + 1, c)); lists are indexed by
         # code.
         n, m, d = self.n, self.m, self.stats.d
-        memo = self.memo
+        layers = self.layers
         s_syms = self.source.symbols
         l_syms = self.target.symbols
         select_s = [()] + self.source.select_table
@@ -341,17 +319,18 @@ class _Computation:
                     inside = bisect_right(select_s[t], r) - before_s[t]
                     ignored_before += ct if ct < inside else inside
                 edge = (r - p - 1) - ignored_before
-                # the insert test of _moves
+                # the insert test: the free source b's fall short of the
+                # target b's still needed
                 if counts_s[b] - before - cb < counts_l[b] - before_l[b]:
-                    if not memo:
+                    if not layers:
                         raise RuntimeError(
                             "branching state reached in a zero-imbalance instance"
                         )
-                    key = tuple(c[1:])
-                    ins_value = memo[(p + 1, q + 2, key)]
-                    swap_value = memo[(p + 1, q + 2, key[:b - 1] + (cb + 1,) + key[b:])]
-                    swap = ins_value is None or (
-                        swap_value is not None and edge + swap_value < 1 + ins_value)
+                    key = [before_s[u] + c[u] for u in self.imbalanced]
+                    following = layers[q + 1]
+                    ins_value = following[tuple(key)]
+                    key[self.imbalanced.index(b)] += 1
+                    swap = edge + following[tuple(key)] < 1 + ins_value
             if swap:
                 if ops is not None:
                     ops.extend(Swap(pos) for pos in range(q + edge, q, -1))
@@ -371,15 +350,15 @@ class _Computation:
 
         Given ``ops`` and a finite distance, one optimal script is appended
         to it by the forward walk: on a pair with no imbalanced symbol the
-        walk is the whole solve, otherwise it follows the memo once the DP
-        is done.  Target positions are produced left to right; a swap
-        commitment of the source occurrence at position r becomes an
-        immediate run of adjacent swaps walking it down to the boundary.
+        walk is the whole solve, otherwise it runs after the sweep.  Target
+        positions are produced left to right; a swap commitment of the
+        source occurrence at position r becomes an immediate run of
+        adjacent swaps walking it down to the boundary.
         """
         if self.stats.s == 0:
             return self._walk(ops)
-        value = self._solve_memoized((1, 1, (0,) * self.stats.d))
-        if ops is not None and value is not None:
+        value = self._sweep()
+        if ops is not None:
             self._walk(ops)
         return value
 
@@ -397,7 +376,7 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool) -> Eng
     comp = _Computation(source, target, stats)
     ops: Optional[List] = [] if with_script else None
     value = comp.solve(ops)
-    entries = len(comp.memo)
+    entries = sum(map(len, comp.layers))
     bound = stats.predicted_state_bound
     if entries > bound:
         raise RuntimeError(

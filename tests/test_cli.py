@@ -201,7 +201,7 @@ def test_late_usage_errors_print_the_subcommand_usage(capsys, monkeypatch):
     _, err_text = capsys.readouterr()
     assert err_text.startswith("usage: swapinsert selftest")
     assert "error: alphabet size must be in [1..62], got 70" in err_text
-    monkeypatch.setattr("sys.stdin", io.StringIO("ba\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"ba\n")))
     with pytest.raises(SystemExit) as err:
         main(["dist", "--stdin"])
     assert err.value.code == 1
@@ -212,7 +212,7 @@ def test_late_usage_errors_print_the_subcommand_usage(capsys, monkeypatch):
 
 def test_dist_from_stdin(capsys, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("ba\naab\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"ba\naab\n")))
     code, out, _ = run_cli(capsys, "dist", "--stdin")
     assert code == 0
     assert "distance: 2" in out
@@ -221,16 +221,28 @@ def test_dist_from_stdin(capsys, monkeypatch):
 def test_stdin_lines_end_only_at_newline(capsys, monkeypatch):
     import io
     # a form feed is a symbol, not a line break; one "\r" before "\n" is dropped
-    monkeypatch.setattr("sys.stdin", io.StringIO("a\x0cb\r\nb\x0ca\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a\x0cb\r\nb\x0ca\n")))
     code, out, _ = run_cli(capsys, "dist", "--stdin", "--json")
     assert code == 0
     report = json.loads(out)
     assert (report["source"], report["target"]) == ("a\x0cb", "b\x0ca")
     assert report["distance"] == 3
-    monkeypatch.setattr("sys.stdin", io.StringIO("ba\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"ba\n")))
     with pytest.raises(SystemExit) as err:
         main(["dist", "--stdin"])
     assert err.value.code == 1
+
+
+def test_stdin_text_that_is_not_utf8_is_an_input_error(capsys, monkeypatch):
+    import io
+    # decoded as strict UTF-8 like --files, whatever the locale's encoding
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xffa\nab\n"), encoding="latin-1")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(capsys, "dist", "--stdin", "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: <stdin>: ")
+    assert "can't decode byte 0xff" in err
 
 
 def test_stdin_bytes_lines_end_only_at_newline(capsys, monkeypatch):
@@ -279,6 +291,24 @@ def test_oracle_budget_exit_3(capsys):
                            "--budget", "5")
     assert code == 3
     assert "too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "ab", "ba", "--budget", "-1"],
+    ["oracle", "ab", "ba", "--budget", "0"],
+    ["oracle", "ab", "ba", "--budget", "x"],
+    ["selftest", "--max-n", "1", "--max-m", "1", "--budget", "0"],
+    ["bench", "--sizes", "10", "--repeats", "0"],
+    ["bench", "--sizes", "10", "--repeats", "-2"],
+])
+def test_budgets_and_repeats_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text.startswith(f"usage: swapinsert {argv[0]}")
+    assert "error: argument" in err_text
 
 
 def test_oracle_weighted(capsys):

@@ -43,8 +43,64 @@ def computation(source, target):
     return _Computation(S, L, InstanceStats.of(S, L))
 
 
-def start_state(comp):
-    return (1, 1, (0,) * comp.stats.d)
+def start_key(comp):
+    return (0,) * comp.stats.s
+
+
+def imbalanced_codes(comp):
+    return [a for a, g in enumerate(comp.stats.g_per_symbol, 1) if g > 0]
+
+
+def _naive_layers(comp):
+    # the sweep's states and moves, layer by layer, found from an explicit
+    # set of matched source positions, with no Fenwick tree and no cache:
+    # layers[q][key] is {} for a terminal state, else {kind: (edge, child)}
+    S, L = comp.source.symbols, comp.target.symbols
+    n_counts = dict(enumerate(comp.stats.n_counts, 1))
+    m_counts = dict(enumerate(comp.stats.m_counts, 1))
+    imbalanced = imbalanced_codes(comp)
+    layers = [{start_key(comp): None}]
+    for q in range(comp.m + 1):
+        produced = {a: L[:q].count(a) for a in n_counts}
+        following = {}
+        for key in layers[q]:
+            # a balanced code has matched all its target occurrences so far
+            # when fully present, none when absent
+            counts = {a: produced[a] if n_counts[a] == m_counts[a] else 0 for a in n_counts}
+            counts.update(zip(imbalanced, key))
+            matched = {p for a, k in counts.items()
+                       for p in [p for p, x in enumerate(S) if x == a][:k]}
+            moves = layers[q][key] = {}
+            if len(matched) == comp.n:
+                continue
+            b = L[q]
+            occurrences = [p for p, x in enumerate(S) if x == b]
+            if counts[b] < len(occurrences):
+                r = occurrences[counts[b]]
+                child = list(key)
+                if b in imbalanced:
+                    child[imbalanced.index(b)] += 1
+                moves["match"] = (sum(p not in matched for p in range(r)), tuple(child))
+            if (produced[b] - counts[b] < m_counts[b] - n_counts[b]
+                    and moves.get("match", (1,))[0]):
+                moves["insert"] = (1, key)
+            for _edge, child in moves.values():
+                following[child] = None
+        if q < comp.m:
+            layers.append(following)
+        else:
+            assert not following
+    return layers
+
+
+def _naive_values(comp, layers):
+    # cost-to-go of every naive state, terminal states at m - q
+    values = [dict() for _ in layers]
+    for q in range(len(layers) - 1, -1, -1):
+        for key, moves in layers[q].items():
+            values[q][key] = min((edge + values[q + 1][child] for edge, child in moves.values()),
+                                 default=comp.m - q)
+    return values
 
 
 # -- feasibility ------------------------------------------------------------
@@ -105,32 +161,44 @@ def test_finite_distances_stay_within_loose_bound(rng):
         assert result.distance.value <= n * m + m
 
 
-# -- state evaluation (internal surface) --------------------------------------
+# -- the sweep (internal surface) ----------------------------------------------
 
-def test_source_exhausted_leaves_only_insertions():
+def test_source_exhausted_leaves_only_insertions(rng):
+    # once every source position is matched, only insertions remain
     comp = computation("ab", "abcde")
-    n, m, d = 2, 5, comp.stats.d
-    for j in range(1, m + 2):
-        assert comp._solve_memoized((n + 1, j, (0,) * d)) == m - j + 1
+    assert comp._sweep() == 3
+    assert comp.layers[2] == {(): 3}
+    assert not any(comp.layers[3:])
+    for _ in range(100):
+        comp = computation(*random_feasible_pair(rng, max_d=4, max_n=6, max_m=8))
+        comp._sweep()
+        for q, layer in enumerate(_naive_layers(comp)):
+            for key, moves in layer.items():
+                if not moves:
+                    assert comp.layers[q][key] == comp.m - q
 
 
-def test_target_exhausted_requires_all_remaining_ignored():
-    comp = computation("ba", "ab")
-    m = 2
-    # one remaining source symbol, spoken for: zero further cost
-    assert comp._solve_memoized((2, m + 1, (1, 0))) == 0
-    # one remaining source symbol, not spoken for: no correction exists
-    assert comp._solve_memoized((2, m + 1, (0, 0))) is None
+def test_target_exhausted_requires_all_remaining_ignored(rng):
+    # the last layer holds only the state with every source occurrence matched
+    comp = computation("ab", "aab")
+    assert comp._sweep() == 1
+    assert comp.layers[-1] == {(1,): 0}
+    for _ in range(100):
+        comp = computation(*random_feasible_pair(rng, max_d=4, max_n=6, max_m=8))
+        comp._sweep()
+        assert len(comp.layers) == comp.m + 1
+        full = tuple(comp.stats.n_counts[a - 1] for a in imbalanced_codes(comp))
+        assert comp.layers[-1] in ({}, {full: 0})
 
 
 def test_hand_traced_swap_branch():
     # moving the needed symbol from position 2 costs one swap, then the
-    # rest of the scan is free
+    # rest of the scan is free; the sweep runs standalone even when s = 0
     comp = computation("ab", "ba")
-    assert comp._solve_memoized(start_state(comp)) == 1
+    assert comp._sweep() == 1
 
 
-# -- memoized DP -------------------------------------------------------------
+# -- sweep path --------------------------------------------------------------
 
 def _all_imbalanced_pair(rng, d):
     # every code has 0 < n_a < m_a, so s == d
@@ -171,14 +239,20 @@ def test_zero_imbalance_uses_no_memo():
 
 
 def test_zero_counter_invariant_in_every_visited_state(rng):
+    # an imbalanced code's matched count lies in its window: at most its
+    # source and target counts so far, at least what the inserts left over
     for _ in range(60):
         source, target = random_feasible_pair(rng, max_d=4, max_n=8, max_m=10)
         comp = computation(source, target)
-        # run the DP on every pair, chain-scan pairs too: each visited state is a memo key
-        comp._solve_memoized(start_state(comp))
-        assert comp.memo
-        for _i, _j, c in comp.memo:
-            assert not c or min(c) == 0
+        # run the sweep on every pair, chain-scan pairs too
+        assert comp._sweep() == correction_distance(source, target).distance.value
+        assert comp.layers
+        for q, layer in enumerate(comp.layers):
+            for key in layer:
+                for a, k in zip(imbalanced_codes(comp), key):
+                    cnt = target[:q].count(comp.stats.alphabet.external_symbols[a - 1])
+                    n_a, m_a = comp.stats.n_counts[a - 1], comp.stats.m_counts[a - 1]
+                    assert max(0, cnt - (m_a - n_a)) <= k <= min(n_a, cnt), (source, target)
 
 
 def test_memo_bound_never_exceeded(rng):
@@ -188,24 +262,9 @@ def test_memo_bound_never_exceeded(rng):
         assert result.memo_entries <= result.stats.predicted_state_bound
 
 
-def _reachable_states(comp):
-    # every state reachable from the start along _moves, found without the memo
-    start = start_state(comp)
-    seen, todo = {start}, [start]
-    while todo:
-        i, j, c = todo.pop()
-        if i > comp.n or j > comp.m:
-            continue
-        for _kind, _edge, child in comp._moves(i, j, c):
-            if child not in seen:
-                seen.add(child)
-                todo.append(child)
-    return seen
-
-
 def test_memo_entries_match_distinct_codec_keys():
-    # the memo's distinct keys are exactly the states reachable along _moves,
-    # found here without the memo, and memo_bound bounds their number
+    # the sweep's states are exactly those the naive move rule reaches, with
+    # the naive cost-to-go, and memo_bound bounds their number
     rng = random.Random(5150)
     full = 0
     for k in range(300):
@@ -219,10 +278,11 @@ def test_memo_entries_match_distinct_codec_keys():
             continue
         full += comp.stats.s == comp.stats.d
         comp.solve()
-        reachable = _reachable_states(comp)
-        assert set(comp.memo) == reachable, (source, target)
-        assert len(reachable) <= comp.stats.predicted_state_bound, (source, target)
-        assert correction_distance(source, target).memo_entries == len(reachable)
+        naive = _naive_values(comp, _naive_layers(comp))
+        assert comp.layers == naive, (source, target)
+        reachable = sum(map(len, naive))
+        assert reachable <= comp.stats.predicted_state_bound, (source, target)
+        assert correction_distance(source, target).memo_entries == reachable
     assert full >= 100
 
 
@@ -327,8 +387,8 @@ def test_large_alphabet_zero_imbalance_matches_forced_matching():
     script = Script(tuple(ops))
     assert len(script) == expected
     assert apply_script(source, script) == target
-    # the chain scan never builds a prefix-count row
-    assert not comp.source_rows and not comp.target_rows and not comp.memo
+    # the chain scan builds no layer
+    assert not comp.layers
 
 
 def test_insertion_preferred_on_ties():
@@ -379,8 +439,8 @@ def test_script_sweep_matches_committed_scripts():
 
 
 def test_reconstruct_inserts_on_every_tie_in_the_sweep():
-    # follow each memo-path script along the move graph; wherever the
-    # insert and swap branches cost the same, the script must insert
+    # follow each sweep-path script along the naive move graph; wherever
+    # the insert and the match cost the same, the script must insert
     ties = 0
     for source, target, _value, _ops in _sweep_cases():
         comp = computation(source, target)
@@ -388,38 +448,40 @@ def test_reconstruct_inserts_on_every_tie_in_the_sweep():
             continue
         ops = []
         comp.solve(ops)
-        i, j, c = start_state(comp)
-        while i <= comp.n and j <= comp.m:
-            moves = {kind: (edge, child) for kind, edge, child in comp._moves(i, j, c)}
-            # only an insert at this state emits an insert at position j
-            inserted = "insert" in moves and ops[:1] == [Insert(j, target[j - 1])]
+        layers = _naive_layers(comp)
+        values = _naive_values(comp, layers)
+        q, key = 0, start_key(comp)
+        while layers[q][key]:
+            moves = layers[q][key]
+            # only an insert at this state emits an insert at position q + 1
+            inserted = "insert" in moves and ops[:1] == [Insert(q + 1, target[q])]
             if len(moves) == 2:
-                (ins_edge, ins_child), (swap_edge, swap_child) = moves.values()
-                ins = comp.memo[ins_child]
-                swap = comp.memo[swap_child]
-                if ins is not None and swap is not None and ins_edge + ins == swap_edge + swap:
+                ins_edge, ins_child = moves["insert"]
+                swap_edge, swap_child = moves["match"]
+                if ins_edge + values[q + 1][ins_child] == swap_edge + values[q + 1][swap_child]:
                     ties += 1
-                    assert inserted, (source, target, (i, j, c))
-            kind = "insert" if inserted else next(k for k in moves if k != "insert")
-            edge, (i, j, c) = moves[kind]
-            # an insert emits one op, a swap commitment `edge` swaps
+                    assert inserted, (source, target, q, key)
+            edge, key = moves["insert" if inserted else "match"]
+            # an insert emits one op, a match `edge` swaps walking it down
+            if not inserted:
+                assert ops[:edge] == [Swap(pos) for pos in range(q + edge, q, -1)]
             del ops[:edge]
-        assert len(ops) == (comp.m - j + 1 if i > comp.n else 0)
+            q += 1
+        assert ops == [Insert(pos, target[pos - 1]) for pos in range(q + 1, comp.m + 1)]
     assert ties >= 100
 
 
 def test_walk_after_the_dp_returns_the_memo_value():
-    # the walk that writes a memo-path script follows an optimal path, so
-    # its own running cost ends at the DP's value of the start state
+    # the walk that writes a sweep-path script follows an optimal path, so
+    # its own running cost ends at the sweep's value of the start state
     walked = 0
     for source, target, value, _ops in _sweep_cases():
         comp = computation(source, target)
         if comp.stats.s == 0:
             continue
-        start = start_state(comp)
-        assert comp._solve_memoized(start) == value
+        assert comp._sweep() == value
         ops = []
-        assert comp._walk(ops) == comp.memo[start], (source, target)
+        assert comp._walk(ops) == comp.layers[0][start_key(comp)], (source, target)
         assert len(ops) == value
         walked += 1
     assert walked >= 1000
@@ -427,14 +489,14 @@ def test_walk_after_the_dp_returns_the_memo_value():
 
 def test_branching_state_without_imbalance_is_rejected():
     # ("ba", "aab") has s = 1 and branches at its start state; told that no
-    # symbol is imbalanced, the walk runs without a memo and must not guess
+    # symbol is imbalanced, the walk runs without layers and must not guess
     S, L = indexed_pair("ba", "aab")
     stats = InstanceStats.of(S, L)
     assert stats.s == 1
     comp = _Computation(S, L, dataclasses.replace(stats, s=0))
     with pytest.raises(RuntimeError, match="branching state"):
         comp.solve()
-    assert not comp.memo
+    assert not comp.layers
 
 
 def test_scripts_replay_on_random_instances(rng):
