@@ -10,6 +10,7 @@ replayable in order.
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -75,6 +76,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _ratio(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    # NaN fails this test too
+    if not 1 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 1, got {text}")
     return value
 
 
@@ -309,7 +321,7 @@ def _cmd_stats(args, parser) -> int:
 def _cmd_bench(args, parser) -> int:
     specs = []
     for index, size in enumerate(args.sizes):
-        m = max(size, round(size * args.m_ratio))
+        m = round(size * args.m_ratio)
         specs.append(GeneratorSpec(
             d=args.d, n=size, m=m, profile=args.profile, seed=args.seed + index,
         ))
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", type=_sizes, default=[1000, 10000],
                        help="comma-separated source lengths (default 1000,10000)")
     bench.add_argument("--d", type=int, default=4, help="alphabet size (default 4)")
-    bench.add_argument("--m-ratio", type=float, default=1.0,
+    bench.add_argument("--m-ratio", type=_ratio, default=1.0,
                        help="target length as a multiple of n (default 1.0)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--repeats", type=_positive_int, default=5,

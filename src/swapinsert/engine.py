@@ -3,32 +3,28 @@
 The distance is (m - n) plus the fewest crossings over per-symbol
 order-preserving matchings of the source into the target.
 
-A forward walk scans the source and target left to right.  Its scan
-state (i, j, c) reads: target positions before j are already produced,
-source positions before i are already consumed, and for each symbol code
-a, ``c[a]`` of the remaining source occurrences of a are spoken for by
-swap moves decided earlier and must be skipped when reached.  Four rules
-reduce a state: skip a spoken-for source symbol, match equal heads,
-insert the target head, or commit the nearest free source occurrence of
-the target head to a leftward swap move.  The walk visits only nonzero
-counters, so no step of it costs O(d).
+Both solvers move through one set of states.  A state of layer q (q
+target positions produced) holds the matched count k_a of each code a,
+whose first k_a source occurrences are matched.  At target q + 1 = b a
+state may match b to its next source occurrence r, at the cost of the
+unmatched source positions before r, or insert b at cost 1 while fewer
+than m_b - n_b b's were inserted.  A zero-cost match is forced, and a
+state with every source position matched is terminal.
 
-A pair whose per-symbol imbalance is zero everywhere never branches, so
-the walk alone solves it, with no memo at all; that is what makes the
-equal-length, swap-only case effectively linear.  Any other pair first
-runs a sweep over target positions.  A state of layer q (q target
-positions produced) holds the matched count k_a of each imbalanced code
-a, whose first k_a source occurrences are matched; a balanced code's
-count is fixed by q.  At target q + 1 = b a state may match b to its
-next source occurrence r, at the cost of the unmatched source positions
-before r (those of balanced codes counted by one Fenwick tree the
-layer's states share), or insert b at cost 1 while fewer than m_b - n_b
-b's were inserted.  A zero-cost match is forced, and a state with every
-source position matched is terminal.  A layer holds at most the product of
+A pair whose per-symbol imbalance is zero everywhere never has a choice,
+so a forward walk along its one path solves it, with no layer at all;
+that is what makes the equal-length, swap-only case effectively linear.
+The walk passes matched source positions as it reaches them, and a match
+costs one bisect per code with a matched occurrence still ahead, so a
+source that scatters many codes far from their targets costs up to d
+bisects per step.  Any other pair first runs a sweep over target
+positions whose key is the k_a of the imbalanced codes only: a balanced
+code's count is fixed by q, and its matched positions sit in one Fenwick
+tree the layer's states share.  A layer holds at most the product of
 (g_a + 1), so the m + 1 layers stay within the paper's adaptive bound
 ``memo_bound``, which the engine checks on every solve.  For a script,
-the walk then reads the sweep's cost-to-go where the insert and the swap
-rule both apply, taking the insert on a tie.
+the walk then follows the sweep's cost-to-go where the insert and the
+match both apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
@@ -162,8 +158,9 @@ class _Computation:
 
     ``stats`` picks the solver: a pair with no imbalanced code runs only
     the forward walk and builds no layer, any other runs the sweep, after
-    which the same walk writes the script.  ``layers[q]`` maps each state
-    of layer q to its cost-to-go once the sweep is done.
+    which the walk writes the script along one of its optimal paths.
+    ``layers[q]`` maps each state of layer q, keyed by the imbalanced
+    codes' matched counts, to its cost-to-go once the sweep is done.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -174,6 +171,10 @@ class _Computation:
         self.n = stats.n
         self.m = stats.m
         self.imbalanced = [a for a, g in enumerate(stats.g_per_symbol, 1) if g > 0]
+        # read by both passes; lists are indexed by code
+        self.slot = {a: idx for idx, a in enumerate(self.imbalanced)}
+        self.select_s = [()] + source.select_table
+        self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
         self.layers: List[dict] = []
 
     def _sweep(self) -> int:
@@ -185,10 +186,8 @@ class _Computation:
         # are 1-based, lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         l_syms = self.target.symbols
-        select_s = [()] + self.source.select_table
+        select_s, spare, slot = self.select_s, self.spare, self.slot
         imbalanced = self.imbalanced
-        slot = {a: idx for idx, a in enumerate(imbalanced)}
-        spare = [0] + [ma - na for na, ma in zip(self.stats.n_counts, self.stats.m_counts)]
         tree = [0] * (n + 1)  # Fenwick tree over the balanced codes' matched positions
         before_l = [0] * (d + 1)
         rest = n  # source positions no balanced code has matched
@@ -253,91 +252,80 @@ class _Computation:
                     layer[key] = edge + following[child]
         return layers[0][start]
 
-    def _walk(self, ops: Optional[List]) -> Optional[int]:
-        # One forward scan from the start state, appending the script to
-        # ``ops`` when given.  Prefix counts advance with the scan, and a
-        # swap visits only the nonzero counters, so no step costs O(d).  At
-        # most one rule applies at a state, except where the insert test
-        # and a free source b both hold: there the sweep's layers pick the
-        # cheaper child, and a tie goes to the insert.  Without layers (no
-        # imbalanced symbol) such a state must not occur.  Positions p
-        # and q are 0-based (state (p + 1, q + 1, c)); lists are indexed by
-        # code.
+    def _walk(self, ops: Optional[List]) -> int:
+        # One path through the sweep's states, from the start state,
+        # appending the script to ``ops`` when given.  ``k[a]`` counts the
+        # matched source a's, always the first ones; those at or after
+        # source position p are passed when reached, and a code is live
+        # while it has one.  A match costs one bisect per live code.  Equal
+        # heads are the sweep's forced zero-cost match; elsewhere at most
+        # one move applies, except where the insert test and a free source
+        # b both hold: there the sweep's layers pick the cheaper child, and
+        # a tie goes to the insert.  Without layers (no imbalanced symbol)
+        # such a state must not occur.  Positions p and q are 0-based.
         n, m, d = self.n, self.m, self.stats.d
         layers = self.layers
         s_syms = self.source.symbols
         l_syms = self.target.symbols
-        select_s = [()] + self.source.select_table
-        counts_s = [0] + self.source.per_symbol_count
-        counts_l = [0] + self.target.per_symbol_count
+        select_s, spare, slot = self.select_s, self.spare, self.slot
         raw_of = self.source.alphabet.raw_of
-        c = [0] * (d + 1)
-        live = set()  # codes with a nonzero counter
+        k = [0] * (d + 1)
+        live = set()
         # occurrences of each code before source position p / target position q
         before_s = [0] * (d + 1)
         before_l = [0] * (d + 1)
-        p = q = 0
-        remaining = 0
-        total = 0
+        p = q = total = 0
         while True:
             if p == n:
-                if remaining:
-                    return None
                 if ops is not None:
                     ops.extend(Insert(pos, raw_of(l_syms[pos - 1])) for pos in range(q + 1, m + 1))
                 return total + (m - q)
             if q == m:
-                return total if remaining == n - p else None
+                if sum(k) < n:
+                    raise RuntimeError("internal error: the walk left a source position unmatched")
+                return total
             a = s_syms[p]
-            ca = c[a]
-            if ca:
-                c[a] = ca - 1
-                if ca == 1:
-                    live.discard(a)
-                remaining -= 1
+            if before_s[a] < k[a]:
+                # matched by an earlier swap: pass it
                 before_s[a] += 1
+                if before_s[a] == k[a]:
+                    live.discard(a)
                 p += 1
                 continue
             b = l_syms[q]
             if a == b:
                 before_s[a] += 1
                 before_l[a] += 1
+                k[a] += 1
                 p += 1
                 q += 1
                 continue
-            cb = c[b]
-            before = before_s[b]
+            kb = k[b]
             occurrences = select_s[b]
-            kth = before + cb + 1
             # with no free b left in the source the insert test holds
-            swap = kth <= len(occurrences)
+            swap = kb < len(occurrences)
             if swap:
-                r = occurrences[kth - 1]
-                ignored_before = 0
+                r = occurrences[kb]
+                edge = r - p - 1
                 for t in live:
-                    ct = c[t]
-                    inside = bisect_right(select_s[t], r) - before_s[t]
-                    ignored_before += ct if ct < inside else inside
-                edge = (r - p - 1) - ignored_before
-                # the insert test: the free source b's fall short of the
-                # target b's still needed
-                if counts_s[b] - before - cb < counts_l[b] - before_l[b]:
+                    edge -= bisect_right(select_s[t], r, before_s[t], k[t]) - before_s[t]
+                # the insert test: fewer than m_b - n_b b's inserted so far
+                if before_l[b] - kb < spare[b]:
                     if not layers:
                         raise RuntimeError(
                             "branching state reached in a zero-imbalance instance"
                         )
-                    key = [before_s[u] + c[u] for u in self.imbalanced]
+                    key = [k[u] for u in self.imbalanced]
                     following = layers[q + 1]
                     ins_value = following[tuple(key)]
-                    key[self.imbalanced.index(b)] += 1
+                    key[slot[b]] += 1
                     swap = edge + following[tuple(key)] < 1 + ins_value
             if swap:
                 if ops is not None:
                     ops.extend(Swap(pos) for pos in range(q + edge, q, -1))
                 total += edge
-                c[b] = cb + 1
+                k[b] = kb + 1
                 live.add(b)
-                remaining += 1
             else:
                 if ops is not None:
                     ops.append(Insert(q + 1, raw_of(b)))
@@ -345,15 +333,15 @@ class _Computation:
             before_l[b] += 1
             q += 1
 
-    def solve(self, ops: Optional[List] = None) -> Optional[int]:
-        """Distance of the whole pair, or None when it is unreachable.
+    def solve(self, ops: Optional[List] = None) -> int:
+        """Distance of the whole pair, which the caller has found feasible.
 
-        Given ``ops`` and a finite distance, one optimal script is appended
-        to it by the forward walk: on a pair with no imbalanced symbol the
-        walk is the whole solve, otherwise it runs after the sweep.  Target
-        positions are produced left to right; a swap commitment of the
-        source occurrence at position r becomes an immediate run of
-        adjacent swaps walking it down to the boundary.
+        Given ``ops``, one optimal script is appended to it by the walk:
+        on a pair with no imbalanced symbol the walk is the whole solve,
+        otherwise it runs after the sweep and follows the sweep's values.
+        Target positions are produced left to right; matching the source
+        occurrence at position r becomes an immediate run of adjacent
+        swaps walking it down to the boundary.
         """
         if self.stats.s == 0:
             return self._walk(ops)
@@ -383,14 +371,14 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool) -> Eng
             f"internal error: {entries} memo entries exceed the bound {bound}"
         )
     script = None
-    if with_script and value is not None:
+    if with_script:
         script = Script(tuple(ops))
         if len(script) != value:
             raise RuntimeError(
                 f"internal error: script cost {len(script)} != distance {value}"
             )
     return EngineResult(
-        distance=Cost.finite(value) if value is not None else Cost.unreachable(),
+        distance=Cost.finite(value),
         memo_entries=entries,
         stats=stats,
         script=script,

@@ -79,12 +79,7 @@ def build_alphabet(source: Sequence, target: Sequence) -> AlphabetMap:
     Codes follow first-occurrence order scanning the target then the
     source, so a given input pair always produces the same coding.
     """
-    seen = dict.fromkeys(chain(target, source))
-    if len(seen) > MAX_ALPHABET:
-        raise AlphabetTooLarge(
-            f"{len(seen)} distinct symbols exceed the {MAX_ALPHABET} limit"
-        )
-    return AlphabetMap(tuple(seen))
+    return AlphabetMap(tuple(dict.fromkeys(chain(target, source))))
 
 
 class IndexedString:

@@ -300,6 +300,11 @@ def test_oracle_budget_exit_3(capsys):
     ["selftest", "--max-n", "1", "--max-m", "1", "--budget", "0"],
     ["bench", "--sizes", "10", "--repeats", "0"],
     ["bench", "--sizes", "10", "--repeats", "-2"],
+    ["bench", "--sizes", "10", "--m-ratio", "nan"],
+    ["bench", "--sizes", "10", "--m-ratio", "inf"],
+    ["bench", "--sizes", "10", "--m-ratio", "0.5"],
+    ["bench", "--sizes", "10", "--m-ratio", "-1"],
+    ["bench", "--sizes", "10", "--m-ratio", "x"],
 ])
 def test_budgets_and_repeats_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:

@@ -362,33 +362,48 @@ def _inversions(values):
     return total, merged
 
 
-def test_large_alphabet_zero_imbalance_matches_forced_matching():
-    source, target = generate_instance(
-        GeneratorSpec(d=4096, n=20_000, m=22_000, profile="zero-g", seed=3))
-    amap = build_alphabet(source, target)
-    assert amap.d == 4096
-    # every symbol is absent from the source or fully present, so the k-th
-    # source occurrence of a symbol must become its k-th target occurrence
-    # and the distance is (m - n) plus the inversions of that matching
-    occurrences = {}
-    for pos, sym in enumerate(target):
-        occurrences.setdefault(sym, []).append(pos)
-    seen = {}
-    matched = []
-    for sym in source:
-        matched.append(occurrences[sym][seen.get(sym, 0)])
-        seen[sym] = seen.get(sym, 0) + 1
-    expected = len(target) - len(source) + _inversions(matched)[0]
+def _shuffled_zero_imbalance_pair():
+    # 100 codes, 10 of them absent from the source, which is a full random
+    # shuffle of the target's other symbols: dozens of codes have matched
+    # occurrences ahead of the walk at once
+    rng = random.Random(41)
+    symbols = [chr(0x4E00 + code) for code in range(100)]
+    present, absent = symbols[:90], symbols[90:]
+    kept = present + [rng.choice(present) for _ in range(910)]
+    target = kept + absent * 3
+    rng.shuffle(target)
+    return "".join(rng.sample(kept, len(kept))), "".join(target)
 
-    S, L = index_string(source, amap), index_string(target, amap)
-    comp = _Computation(S, L, InstanceStats.of(S, L))
-    ops = []
-    assert comp.solve(ops) == expected
-    script = Script(tuple(ops))
-    assert len(script) == expected
-    assert apply_script(source, script) == target
-    # the chain scan builds no layer
-    assert not comp.layers
+
+def test_large_alphabet_zero_imbalance_matches_forced_matching():
+    generated = generate_instance(
+        GeneratorSpec(d=4096, n=20_000, m=22_000, profile="zero-g", seed=3))
+    for (source, target), d in ((generated, 4096), (_shuffled_zero_imbalance_pair(), 100)):
+        amap = build_alphabet(source, target)
+        assert amap.d == d
+        # every symbol is absent from the source or fully present, so the
+        # k-th source occurrence of a symbol must become its k-th target
+        # occurrence and the distance is (m - n) plus the inversions of
+        # that matching
+        occurrences = {}
+        for pos, sym in enumerate(target):
+            occurrences.setdefault(sym, []).append(pos)
+        seen = {}
+        matched = []
+        for sym in source:
+            matched.append(occurrences[sym][seen.get(sym, 0)])
+            seen[sym] = seen.get(sym, 0) + 1
+        expected = len(target) - len(source) + _inversions(matched)[0]
+
+        S, L = index_string(source, amap), index_string(target, amap)
+        comp = _Computation(S, L, InstanceStats.of(S, L))
+        ops = []
+        assert comp.solve(ops) == expected
+        script = Script(tuple(ops))
+        assert len(script) == expected
+        assert apply_script(source, script) == target
+        # the walk alone solves it: no layer is built
+        assert not comp.layers
 
 
 def test_insertion_preferred_on_ties():
@@ -485,6 +500,16 @@ def test_walk_after_the_dp_returns_the_memo_value():
         assert len(ops) == value
         walked += 1
     assert walked >= 1000
+
+
+def test_solvers_never_report_unreachable():
+    # ("ab", "a") is infeasible, which the engine settles from the counts
+    # before any solve; handed to a solver anyway (s = 0, so the walk),
+    # it must fail loudly rather than return a distance
+    comp = computation("ab", "a")
+    assert comp.stats.s == 0 and not comp.stats.feasible
+    with pytest.raises(RuntimeError, match="internal error"):
+        comp.solve()
 
 
 def test_branching_state_without_imbalance_is_rejected():
