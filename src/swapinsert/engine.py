@@ -21,10 +21,14 @@ bisects per step.  Any other pair first runs a sweep over target
 positions whose key is the k_a of the imbalanced codes only: a balanced
 code's count is fixed by q, and its matched positions sit in one Fenwick
 tree the layer's states share.  A layer holds at most the product of
-(g_a + 1), so the m + 1 layers stay within the paper's adaptive bound
-``memo_bound``, which the engine checks on every solve.  For a script,
-the walk then follows the sweep's cost-to-go where the insert and the
-match both apply, taking the insert on a tie.
+(g_a + 1), so the states of all m + 1 layers stay within the paper's
+adaptive bound ``memo_bound``, which the engine checks on every solve.
+A distance-only sweep holds one live layer: each state carries its cost
+from the start, relaxes the next layer's states with its moves and is
+dropped, in the manner of Hirschberg (1975).  For a script the sweep
+keeps every layer, a backward pass gives each state its cost-to-go, and
+the walk then follows those values where the insert and the match both
+apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
@@ -35,6 +39,7 @@ indexes' per-symbol counts, picks the solver, and is returned as
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from math import inf
 from typing import List, Optional, Sequence, Tuple
 
 from .cost import Cost
@@ -157,10 +162,13 @@ class _Computation:
     """Single-use solve of one feasible pair; owns its layers exclusively.
 
     ``stats`` picks the solver: a pair with no imbalanced code runs only
-    the forward walk and builds no layer, any other runs the sweep, after
-    which the walk writes the script along one of its optimal paths.
-    ``layers[q]`` maps each state of layer q, keyed by the imbalanced
-    codes' matched counts, to its cost-to-go once the sweep is done.
+    the forward walk and builds no layer, any other runs the sweep.  The
+    sweep retains its layers only for a script, which the walk then
+    writes along one of its optimal paths: ``layers[q]`` maps each state
+    of layer q, keyed by the imbalanced codes' matched counts, to its
+    cost-to-go.  A distance-only sweep holds one live layer at a time and
+    leaves ``layers`` empty.  ``priced`` counts the states the sweep
+    priced, the same in both modes.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -176,14 +184,20 @@ class _Computation:
         self.select_s = [()] + source.select_table
         self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
         self.layers: List[dict] = []
+        self.priced = 0  # states the sweep priced
 
-    def _sweep(self) -> int:
-        # The forward pass collects each layer's states, keyed by the
-        # imbalanced codes' matched counts.  A state first holds (edge,
-        # child, can_insert): the match cost and child (edge None when no
-        # source b is left) and whether b may be inserted, keeping the key;
-        # the backward pass overwrites it with its cost-to-go.  Positions
-        # are 1-based, lists are indexed by code.
+    def _sweep(self, keep: bool = True) -> int:
+        # The forward pass visits each layer's states, keyed by the
+        # imbalanced codes' matched counts, and counts them in ``priced``.
+        # A live state holds its cost from the start state: its moves relax
+        # the next layer's states, a terminal state folds its inserts into
+        # ``best``, and only the layer in hand is alive.  With ``keep`` the
+        # states hold (edge, child, can_insert) in place of a cost: the
+        # match cost and child (edge None when no source b is left) and
+        # whether b may be inserted, keeping the key; every layer is kept
+        # in ``layers``, and the backward pass overwrites each entry with
+        # its cost-to-go for the walk.  Positions are 1-based, lists are
+        # indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
@@ -193,24 +207,36 @@ class _Computation:
         rest = n  # source positions no balanced code has matched
         layers = self.layers
         start = (0,) * len(imbalanced)
-        layer = {start: None}
+        layer = {start: 0}
+        best = inf  # the cheapest terminal state's full cost, live states only
+        ended = False
+        priced = 0
         for q in range(m):
-            layers.append(layer)
+            priced += len(layer)
+            if keep:
+                layers.append(layer)
             following = {}
             b = l_syms[q]
             idx = slot.get(b)
             occurrences = select_s[b]
+            left = len(occurrences)
+            # b may be inserted while its matched count k exceeds this
+            floor = before_l[b] - spare[b]
             # b's matched count -> (positions before r that no balanced code
             # matched, rank of r in each imbalanced code), shared by the layer
             cache = {}
-            for key in layer:
+            for key, value in layer.items():
                 if sum(key) == rest:
                     # every source position is matched: only inserts remain
-                    layer[key] = m - q
+                    ended = True
+                    if keep:
+                        layer[key] = m - q
+                    elif value + m - q < best:
+                        best = value + m - q
                     continue
                 k = before_l[b] if idx is None else key[idx]
                 edge = child = None
-                if k < len(occurrences):
+                if k < left:
                     found = cache.get(k)
                     if found is None:
                         r = occurrences[k]
@@ -222,12 +248,24 @@ class _Computation:
                             bisect_left(select_s[u], r) for u in imbalanced])
                     edge = found[0] - sum(map(min, key, found[1]))
                     child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
-                    following[child] = None
+                    if keep:
+                        following[child] = None
+                    else:
+                        cost = value + edge
+                        old = following.get(child)
+                        if old is None or cost < old:
+                            following[child] = cost
                 # a zero-cost match is forced
-                can_insert = before_l[b] - k < spare[b] and edge != 0
-                if can_insert:
-                    following[key] = None
-                layer[key] = (edge, child, can_insert)
+                can_insert = k > floor and edge != 0
+                if keep:
+                    if can_insert:
+                        following[key] = None
+                    layer[key] = (edge, child, can_insert)
+                elif can_insert:
+                    cost = value + 1
+                    old = following.get(key)
+                    if old is None or cost < old:
+                        following[key] = cost
             if idx is None and occurrences:
                 # a balanced code present in the source matches its next occurrence
                 at = occurrences[before_l[b]]
@@ -237,6 +275,11 @@ class _Computation:
                 rest -= 1
             before_l[b] += 1
             layer = following
+        self.priced = priced + len(layer)
+        if not (ended or layer):
+            raise RuntimeError("internal error: no state of the sweep reached the end")
+        if not keep:
+            return min(best, min(layer.values(), default=best))
         layers.append(dict.fromkeys(layer, 0))
         for q in range(m - 1, -1, -1):
             layer, following = layers[q], layers[q + 1]
@@ -338,15 +381,17 @@ class _Computation:
 
         Given ``ops``, one optimal script is appended to it by the walk:
         on a pair with no imbalanced symbol the walk is the whole solve,
-        otherwise it runs after the sweep and follows the sweep's values.
+        otherwise it runs after a sweep that keeps every layer and follows
+        their values.  Without ``ops`` the sweep keeps only its live layer.
         Target positions are produced left to right; matching the source
         occurrence at position r becomes an immediate run of adjacent
         swaps walking it down to the boundary.
         """
         if self.stats.s == 0:
             return self._walk(ops)
-        value = self._sweep()
-        if ops is not None:
+        keep = ops is not None
+        value = self._sweep(keep)
+        if keep:
             self._walk(ops)
         return value
 
@@ -364,7 +409,7 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool) -> Eng
     comp = _Computation(source, target, stats)
     ops: Optional[List] = [] if with_script else None
     value = comp.solve(ops)
-    entries = sum(map(len, comp.layers))
+    entries = comp.priced
     bound = stats.predicted_state_bound
     if entries > bound:
         raise RuntimeError(

@@ -393,8 +393,10 @@ def exhaustive_oracle_check(
 ) -> EquivalenceReport:
     """Compare the engine against both oracles on every small pair.
 
-    Also audits the reconstructed script of every feasible pair.  This is
-    the trust anchor the rest of the test suite leans on.  Raises
+    Both engine passes run: the distance-only solve and the solve with a
+    script must agree with the oracles and price the same number of
+    states.  Also audits the reconstructed script of every feasible pair.
+    This is the trust anchor the rest of the test suite leans on.  Raises
     ``ValueError`` for an alphabet outside [1..62] or a negative length.
     """
     if not 1 <= alphabet_size <= len(_SYMBOL_POOL):
@@ -409,13 +411,18 @@ def exhaustive_oracle_check(
         for source in _all_strings(alphabet, max_n):
             pairs += 1
             result = correction_distance(source, target, with_script=True)
+            # the distance-only solve holds one live layer, a pass of its own
+            live = correction_distance(source, target)
             ucs = ucs_distance(source, target, state_budget=state_budget)
             matching = matching_distance(source, target,
                                          combination_budget=combination_budget)
-            if not (result.distance == ucs == matching):
-                mismatches.append(
-                    (source, target, repr(result.distance), repr(ucs), repr(matching))
-                )
+            split = (live.distance, live.memo_entries) != (result.distance, result.memo_entries)
+            if split or not result.distance == ucs == matching:
+                engine = repr(result.distance)
+                if split:
+                    engine += (f" (distance only {live.distance!r}, memo entries"
+                               f" {live.memo_entries} against {result.memo_entries})")
+                mismatches.append((source, target, engine, repr(ucs), repr(matching)))
                 continue
             if result.distance.is_finite:
                 replayed = apply_script(source, result.script)

@@ -117,6 +117,24 @@ def test_weighted_dist_solves_once(capsys, monkeypatch, argv, code, cost):
     assert report["weighted_cost"] == cost
 
 
+@pytest.mark.parametrize("source, target", [("aab", "ba"), ("ba", "aab")])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_swap_delete_distance_builds_no_script(capsys, monkeypatch, source, target, as_json):
+    # without --script the distance is the mirrored insert problem's, solved
+    # without layers for a walk; the output is the script solve's
+    flags = ("--json",) if as_json else ()
+    _, expected, _ = run_cli(capsys, "dist", "--ops", "swap-delete", source, target, *flags)
+
+    def scripted(*args, **kwargs):
+        raise AssertionError("a script was built for a distance-only call")
+    monkeypatch.setattr("swapinsert.cli.swap_delete_correction", scripted)
+    code, out, _ = run_cli(capsys, "dist", "--ops", "swap-delete", source, target, *flags)
+    assert code == (0 if len(source) >= len(target) else 2)
+    assert out == expected
+    with pytest.raises(AssertionError, match="a script was built"):
+        main(["dist", "--ops", "swap-delete", source, target, "--script", *flags])
+
+
 @pytest.mark.parametrize("argv", [("aa", "a"), ("--ops", "swap-delete", "a", "abba")])
 def test_weighted_cost_unreachable_for_both_operator_sets(capsys, argv):
     code, out, _ = run_cli(capsys, "dist", *argv, "--c-ins", "2")
@@ -322,6 +340,27 @@ def test_oracle_weighted(capsys):
     assert code == 0
     assert "AGREE" in out
     assert "weighted_engine=5" in out
+
+
+def test_weighted_oracle_solves_once(capsys, monkeypatch):
+    # the weighted engine cost is arithmetic on the one engine result
+    def second_solve(*args, **kwargs):
+        raise AssertionError("the pair was solved a second time")
+    monkeypatch.setattr("swapinsert.engine.distance", second_solve)
+    code, out, _ = run_cli(capsys, "oracle", "ba", "aab", "--c-ins", "2", "--c-swap", "3")
+    assert code == 0
+    assert out == "engine=2 ucs=2 matching=2 AGREE weighted_engine=5 weighted_ucs=5\n"
+
+
+@pytest.mark.parametrize("argv, engine", [(("ba", "aab"), "7/2"), (("aa", "a"), None)])
+def test_weighted_oracle_json(capsys, argv, engine):
+    # weighted costs are fractions, reported as strings as dist reports them
+    code, out, _ = run_cli(capsys, "oracle", *argv, "--c-ins", "2", "--c-swap", "3/2",
+                           "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["agree"] is True
+    assert report["weighted_engine"] == report["weighted_ucs"] == engine
 
 
 # -- stats ------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,7 +279,7 @@ def test_memo_entries_match_distinct_codec_keys():
         if comp.stats.s == 0:
             continue
         full += comp.stats.s == comp.stats.d
-        comp.solve()
+        comp._sweep(keep=True)
         naive = _naive_values(comp, _naive_layers(comp))
         assert comp.layers == naive, (source, target)
         reachable = sum(map(len, naive))
@@ -500,6 +502,64 @@ def test_walk_after_the_dp_returns_the_memo_value():
         assert len(ops) == value
         walked += 1
     assert walked >= 1000
+
+
+def _live_and_kept(source, target):
+    # (value, priced, layers left) of a distance-only solve, then of the sweep
+    # that keeps every layer
+    live, kept = computation(source, target), computation(source, target)
+    return ((live.solve(), live.priced, live.layers),
+            (kept._sweep(keep=True), kept.priced, len(kept.layers)))
+
+
+def test_live_layer_pass_equals_the_kept_sweep(rng):
+    # a distance-only solve holds one live layer and keeps none, yet finds
+    # the kept sweep's value and prices exactly its states
+    pairs = [(source, target) for source, target, _value, _ops in _sweep_cases()]
+    while len(pairs) < 2600:
+        pairs.append(random_feasible_pair(rng, max_d=5, max_n=9, max_m=12))
+    checked = 0
+    for source, target in pairs:
+        if computation(source, target).stats.s == 0:
+            continue
+        (value, priced, layers), (kept_value, kept_priced, kept_layers) = \
+            _live_and_kept(source, target)
+        assert (value, priced) == (kept_value, kept_priced), (source, target)
+        assert layers == [] and kept_layers == len(target) + 1, (source, target)
+        assert correction_distance(source, target).memo_entries == priced
+        checked += 1
+    assert checked >= 1500
+
+
+def test_distance_only_solve_peaks_at_a_tenth_of_the_script_solve():
+    # the script solve keeps every layer for its walk, the distance-only
+    # solve one live layer at a time
+    source, target = generate_instance(
+        GeneratorSpec(d=4, n=100, m=150, profile="balanced-g", seed=0))
+    assert correction_distance(source, target).memo_entries > 5000
+    peaks = {}
+    for with_script in (False, True):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            correction_distance(source, target, with_script=with_script)
+            peaks[with_script] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[False] * 10 <= peaks[True], peaks
+
+
+@pytest.mark.parametrize("ops", [None, []])
+def test_sweep_that_reaches_no_end_fails_loudly(ops):
+    # ("ba", "aab") told that a occurs once in the target may not insert
+    # its a; the state that matched a then has no move, so no state
+    # reaches the end, and neither pass may return a distance
+    S, L = indexed_pair("ba", "aab")
+    stats = InstanceStats.of(S, L)
+    comp = _Computation(S, L, dataclasses.replace(stats, m_counts=(1, 1)))
+    assert comp.stats.s == 1
+    with pytest.raises(RuntimeError, match="internal error"):
+        comp.solve(ops)
 
 
 def test_solvers_never_report_unreachable():

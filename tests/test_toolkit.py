@@ -13,6 +13,7 @@ from swapinsert import (
     instance_stats,
     run_bench,
 )
+from swapinsert.engine import _Computation
 from swapinsert.toolkit import CSV_COLUMNS
 
 
@@ -243,3 +244,26 @@ def test_exhaustive_check_accepts_the_whole_symbol_pool():
     report = exhaustive_oracle_check(max_n=0, max_m=1, alphabet_size=62)
     assert report.ok
     assert report.pairs == 63
+
+
+@pytest.mark.parametrize("skew", ["distance", "memo entries"])
+def test_exhaustive_check_reports_a_live_pass_that_disagrees(monkeypatch, skew):
+    # the trust anchor also runs the distance-only pass, which holds one
+    # live layer; a wrong value or state count there is a mismatch
+    sweep = _Computation._sweep
+
+    def skewed(self, keep=True):
+        value = sweep(self, keep)
+        if keep:
+            return value
+        if skew == "distance":
+            return value + 1
+        self.priced += 1
+        return value
+    monkeypatch.setattr(_Computation, "_sweep", skewed)
+    report = exhaustive_oracle_check(max_n=2, max_m=3, alphabet_size=2)
+    assert not report.ok
+    assert report.mismatches
+    for _source, _target, engine, ucs, _matching in report.mismatches:
+        assert "distance only" in engine
+        assert engine.startswith(ucs)
