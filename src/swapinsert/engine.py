@@ -20,17 +20,34 @@ source that scatters many codes far from their targets costs up to d
 bisects per step.  Any other pair first runs a sweep over target
 positions whose key is the k_a of the imbalanced codes only: a balanced
 code's count is fixed by q, and its matched positions sit in one Fenwick
-tree the layer's states share.  A layer holds at most the product of
-(g_a + 1), so the states of all m + 1 layers stay within the paper's
-adaptive bound ``memo_bound``, which the engine checks on every solve.
-A distance-only sweep holds one live layer: each state carries its cost
-from the start, relaxes the next layer's states with its moves and is
-dropped, in the manner of Hirschberg (1975).  For a script the sweep
-keeps every layer, a backward pass gives each state its cost-to-go, and
-the walk then follows those values where the insert and the match both
-apply, taking the insert on a tie.
+tree the layer's states share.  A layer lies in a box of the product of
+(g_a + 1) states, ``InstanceStats.layer_bound``, so the states of all
+m + 1 layers stay within m + 1 boxes and within the paper's adaptive
+bound ``memo_bound``; the engine checks both on every solve.  Each state
+carries its cost from the start, and its moves relax the next layer's
+states; a distance-only sweep then drops it and holds one live layer, in
+the manner of Hirschberg (1975).
 
-The pair's difficulty profile (counts, imbalances, memo bound) is the
+The sweep is a branch and bound (Land & Doig 1960).  A state's cost plus
+its remaining inserts, (m - n) minus the inserts made so far, is its
+swaps plus m - n: it never falls along a move and never exceeds the
+cost of a full path through the state, an admissible estimate in the
+sense of A* (Hart, Nilsson & Raphael 1968).  When the box holds more
+than ``_BEAM`` (64) states, a beam pass first keeps the 64 cheapest
+states of each layer by cost; its value U is the cost of a real path,
+and exact when the beam never had to cut a layer, in which case a
+distance-only solve returns it.  Otherwise the sweep drops every match
+whose child's estimate exceeds U.  No state of an optimal path is
+dropped and their costs stay exact, so distances and scripts are those
+of the unpruned sweep, and the sweep prices exactly the reachable states
+whose estimate is at most U.  A pair whose box fits the beam runs the
+unpruned sweep alone.  For a script the sweep keeps every layer of the
+states it priced, a backward pass gives each state its cost-to-go, a
+dropped child counting as unreachable, and the walk then follows those
+values where the insert and the match both apply, taking the insert on a
+tie.
+
+The pair's difficulty profile (counts, imbalances, memo bound, box) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
 indexes' per-symbol counts, picks the solver, and is returned as
 ``EngineResult.stats``; the weighted cost is arithmetic on the result
@@ -40,11 +57,17 @@ indexes' per-symbol counts, picks the solver, and is returned as
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import inf
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .cost import Cost
 from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string
 from .scripts import Delete, Insert, Script, Swap
+
+
+# States per layer that the beam pass keeps.  A pair whose layers all fit
+# runs one unpruned sweep; inf turns the beam and the bound off everywhere.
+_BEAM = 64
 
 
 class ScriptUnavailable(ValueError):
@@ -91,6 +114,7 @@ class InstanceStats:
     sigma_plus: Tuple[int, ...]
     s: int
     predicted_state_bound: int
+    layer_bound: int
     feasible: bool
     alphabet: AlphabetMap
 
@@ -103,7 +127,12 @@ class InstanceStats:
         n_counts = tuple(source.per_symbol_count)
         m_counts = tuple(target.per_symbol_count)
         g_per_symbol = tuple(min(na, ma - na) for na, ma in zip(n_counts, m_counts))
-        s = sum(1 for g in g_per_symbol if g > 0)
+        # a sweep layer lies in a box of one matched count per imbalanced code
+        s, layer_bound = 0, 1
+        for g in g_per_symbol:
+            if g > 0:
+                s += 1
+                layer_bound *= g + 1
         if d and s == d:
             # every code contributes, except one smallest-imbalance code
             dropped = min(range(1, d + 1), key=lambda a: (g_per_symbol[a - 1], a))
@@ -121,6 +150,7 @@ class InstanceStats:
             sigma_plus=sigma_plus,
             s=s,
             predicted_state_bound=memo_bound(len(source), g_per_symbol, m_counts),
+            layer_bound=layer_bound,
             feasible=all(na <= ma for na, ma in zip(n_counts, m_counts)),
             alphabet=source.alphabet,
         )
@@ -130,9 +160,12 @@ class InstanceStats:
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``memo_entries`` counts the states the sweep priced; it is 0 for
-    a pair with no imbalanced symbol and for an infeasible pair, and never
-    exceeds ``stats.predicted_state_bound``.  ``stats`` is the pair's
+    ``memo_entries`` counts the states the sweep priced, bounded by the
+    beam's value when the pair's box exceeds the beam, and the same with
+    and without a script; it is never larger than the unpruned sweep's
+    count, 0 for a pair with no imbalanced symbol and for an infeasible
+    pair, and never exceeds ``stats.predicted_state_bound`` or m + 1
+    boxes of ``stats.layer_bound`` states.  ``stats`` is the pair's
     difficulty profile, set on every result.  ``script`` is one optimal
     correction script when one was asked for and the distance is finite.
     """
@@ -162,13 +195,17 @@ class _Computation:
     """Single-use solve of one feasible pair; owns its layers exclusively.
 
     ``stats`` picks the solver: a pair with no imbalanced code runs only
-    the forward walk and builds no layer, any other runs the sweep.  The
-    sweep retains its layers only for a script, which the walk then
-    writes along one of its optimal paths: ``layers[q]`` maps each state
-    of layer q, keyed by the imbalanced codes' matched counts, to its
-    cost-to-go.  A distance-only sweep holds one live layer at a time and
-    leaves ``layers`` empty.  ``priced`` counts the states the sweep
-    priced, the same in both modes.
+    the forward walk and builds no layer, any other runs the sweep.  When
+    a layer's box, ``stats.layer_bound``, holds more than ``_BEAM``
+    states, a beam pass comes first and its value bounds the one sweep
+    that prices states.  The sweep retains its layers only for a script,
+    which the walk then writes along one of its optimal paths:
+    ``layers[q]`` maps each state of layer q that the bound let through,
+    keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
+    distance-only sweep holds one live layer at a time and leaves
+    ``layers`` empty.  ``priced`` counts the states the bounded sweep
+    prices, the same in both modes; ``cut`` records that the beam dropped
+    states.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -185,19 +222,26 @@ class _Computation:
         self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
         self.layers: List[dict] = []
         self.priced = 0  # states the sweep priced
+        self.cut = False  # the beam dropped a state
 
-    def _sweep(self, keep: bool = True) -> int:
+    def _sweep(self, keep: bool = True, width=inf, bound=inf) -> int:
         # The forward pass visits each layer's states, keyed by the
         # imbalanced codes' matched counts, and counts them in ``priced``.
-        # A live state holds its cost from the start state: its moves relax
-        # the next layer's states, a terminal state folds its inserts into
-        # ``best``, and only the layer in hand is alive.  With ``keep`` the
-        # states hold (edge, child, can_insert) in place of a cost: the
-        # match cost and child (edge None when no source b is left) and
-        # whether b may be inserted, keeping the key; every layer is kept
-        # in ``layers``, and the backward pass overwrites each entry with
-        # its cost-to-go for the walk.  Positions are 1-based, lists are
-        # indexed by code.
+        # A state holds its cost from the start state: its moves relax the
+        # next layer's states, a terminal state folds its inserts into
+        # ``best``, and only the layer in hand is alive.  A match is dropped
+        # when its child's cost plus remaining inserts, which never falls
+        # along a move, exceeds ``bound``; an insert leaves that sum as it
+        # is.  A layer of more than ``width`` states keeps the ``width``
+        # cheapest and sets ``cut``; until one does, ``scores`` holds each
+        # state's sum, so that ``priced`` can count the states a sweep
+        # bounded by this pass's value would price.  With ``keep`` each
+        # state, once relaxed, holds (edge, child, can_insert): the match
+        # cost, and the child or None when no match is left or the bound
+        # dropped it, and whether b may be inserted, keeping the key; every
+        # layer is kept in ``layers``, and the backward pass overwrites each
+        # entry with its cost-to-go for the walk.  Positions are 1-based,
+        # lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
@@ -211,8 +255,14 @@ class _Computation:
         best = inf  # the cheapest terminal state's full cost, live states only
         ended = False
         priced = 0
+        scores = [] if width < inf else None
         for q in range(m):
             priced += len(layer)
+            # a state's cost plus remaining inserts is cost + sum(key) + lead
+            lead = m - q - rest
+            if scores is not None:
+                scores += [value + sum(key) + lead for key, value in layer.items()]
+            limit = bound - lead
             if keep:
                 layers.append(layer)
             following = {}
@@ -226,7 +276,8 @@ class _Computation:
             # matched, rank of r in each imbalanced code), shared by the layer
             cache = {}
             for key, value in layer.items():
-                if sum(key) == rest:
+                total = sum(key)
+                if total == rest:
                     # every source position is matched: only inserts remain
                     ended = True
                     if keep:
@@ -247,25 +298,19 @@ class _Computation:
                         found = cache[k] = (r - 1 - matched, [
                             bisect_left(select_s[u], r) for u in imbalanced])
                     edge = found[0] - sum(map(min, key, found[1]))
-                    child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
-                    if keep:
-                        following[child] = None
-                    else:
-                        cost = value + edge
-                        old = following.get(child)
-                        if old is None or cost < old:
+                    cost = value + edge
+                    if cost + total <= limit:
+                        child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
+                        if following.get(child, inf) > cost:
                             following[child] = cost
                 # a zero-cost match is forced
                 can_insert = k > floor and edge != 0
-                if keep:
-                    if can_insert:
-                        following[key] = None
-                    layer[key] = (edge, child, can_insert)
-                elif can_insert:
+                if can_insert:
                     cost = value + 1
-                    old = following.get(key)
-                    if old is None or cost < old:
+                    if following.get(key, inf) > cost:
                         following[key] = cost
+                if keep:
+                    layer[key] = (edge, child, can_insert)
             if idx is None and occurrences:
                 # a balanced code present in the source matches its next occurrence
                 at = occurrences[before_l[b]]
@@ -274,12 +319,21 @@ class _Computation:
                     at += at & -at
                 rest -= 1
             before_l[b] += 1
+            if len(following) > width:
+                following = dict(sorted(following.items(), key=itemgetter(1))[:width])
+                self.cut = True
+                scores = None
             layer = following
         self.priced = priced + len(layer)
         if not (ended or layer):
             raise RuntimeError("internal error: no state of the sweep reached the end")
         if not keep:
-            return min(best, min(layer.values(), default=best))
+            value = min(best, min(layer.values(), default=best))
+            if scores is not None:
+                # the whole sweep ran: count the states within its value
+                scores += layer.values()
+                self.priced = sum(score <= value for score in scores)
+            return value
         layers.append(dict.fromkeys(layer, 0))
         for q in range(m - 1, -1, -1):
             layer, following = layers[q], layers[q + 1]
@@ -287,12 +341,11 @@ class _Computation:
                 if entry.__class__ is int:
                     continue
                 edge, child, can_insert = entry
-                if edge is None:
-                    layer[key] = 1 + following[key]
-                elif can_insert:
-                    layer[key] = min(1 + following[key], edge + following[child])
-                else:
-                    layer[key] = edge + following[child]
+                # a match the bound dropped leads nowhere
+                value = inf if child is None else edge + following[child]
+                if can_insert and 1 + following[key] < value:
+                    value = 1 + following[key]
+                layer[key] = value
         return layers[0][start]
 
     def _walk(self, ops: Optional[List]) -> int:
@@ -303,9 +356,10 @@ class _Computation:
         # while it has one.  A match costs one bisect per live code.  Equal
         # heads are the sweep's forced zero-cost match; elsewhere at most
         # one move applies, except where the insert test and a free source
-        # b both hold: there the sweep's layers pick the cheaper child, and
-        # a tie goes to the insert.  Without layers (no imbalanced symbol)
-        # such a state must not occur.  Positions p and q are 0-based.
+        # b both hold: there the sweep's layers pick the cheaper child, a
+        # match child the bound dropped reading as +inf, and a tie goes to
+        # the insert.  Without layers (no imbalanced symbol) such a state
+        # must not occur.  Positions p and q are 0-based.
         n, m, d = self.n, self.m, self.stats.d
         layers = self.layers
         s_syms = self.source.symbols
@@ -362,7 +416,7 @@ class _Computation:
                     following = layers[q + 1]
                     ins_value = following[tuple(key)]
                     key[slot[b]] += 1
-                    swap = edge + following[tuple(key)] < 1 + ins_value
+                    swap = edge + following.get(tuple(key), inf) < 1 + ins_value
             if swap:
                 if ops is not None:
                     ops.extend(Swap(pos) for pos in range(q + edge, q, -1))
@@ -383,6 +437,9 @@ class _Computation:
         on a pair with no imbalanced symbol the walk is the whole solve,
         otherwise it runs after a sweep that keeps every layer and follows
         their values.  Without ``ops`` the sweep keeps only its live layer.
+        A pair whose layer box exceeds ``_BEAM`` first runs a distance-only
+        beam pass; a distance-only solve whose beam cut no layer returns
+        its value, any other solve runs the sweep bounded by it.
         Target positions are produced left to right; matching the source
         occurrence at position r becomes an immediate run of adjacent
         swaps walking it down to the boundary.
@@ -390,7 +447,13 @@ class _Computation:
         if self.stats.s == 0:
             return self._walk(ops)
         keep = ops is not None
-        value = self._sweep(keep)
+        bound = inf
+        if self.stats.layer_bound > _BEAM:
+            # a beam's value is the cost of a real path; uncut, it is exact
+            bound = self._sweep(False, width=_BEAM)
+            if not (keep or self.cut):
+                return bound
+        value = self._sweep(keep, bound=bound)
         if keep:
             self._walk(ops)
         return value
@@ -414,6 +477,11 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool) -> Eng
     if entries > bound:
         raise RuntimeError(
             f"internal error: {entries} memo entries exceed the bound {bound}"
+        )
+    box = (stats.m + 1) * stats.layer_bound
+    if entries > box:
+        raise RuntimeError(
+            f"internal error: {entries} memo entries exceed the box bound {box}"
         )
     script = None
     if with_script:

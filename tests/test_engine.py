@@ -3,6 +3,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from swapinsert import (
     build_alphabet,
     correction_distance,
     distance_with_script,
+    exhaustive_oracle_check,
     feasible,
     generate_instance,
     GeneratorSpec,
@@ -51,6 +53,12 @@ def start_key(comp):
 
 def imbalanced_codes(comp):
     return [a for a, g in enumerate(comp.stats.g_per_symbol, 1) if g > 0]
+
+
+@pytest.fixture
+def unpruned(monkeypatch):
+    # no beam and no bound: every solve sweeps every reachable state
+    monkeypatch.setattr(engine, "_BEAM", inf)
 
 
 def _naive_layers(comp):
@@ -240,7 +248,7 @@ def test_zero_imbalance_uses_no_memo():
     assert result.distance == Cost.finite(2)
 
 
-def test_zero_counter_invariant_in_every_visited_state(rng):
+def test_zero_counter_invariant_in_every_visited_state(rng, unpruned):
     # an imbalanced code's matched count lies in its window: at most its
     # source and target counts so far, at least what the inserts left over
     for _ in range(60):
@@ -264,7 +272,7 @@ def test_memo_bound_never_exceeded(rng):
         assert result.memo_entries <= result.stats.predicted_state_bound
 
 
-def test_memo_entries_match_distinct_codec_keys():
+def test_memo_entries_match_distinct_codec_keys(unpruned):
     # the sweep's states are exactly those the naive move rule reaches, with
     # the naive cost-to-go, and memo_bound bounds their number
     rng = random.Random(5150)
@@ -455,6 +463,14 @@ def test_script_sweep_matches_committed_scripts():
         assert [_op_text(op) for op in result.script.ops] == ops, (source, target)
 
 
+@pytest.mark.parametrize("width", [1, 4])
+def test_script_sweep_holds_under_a_narrow_beam(monkeypatch, width):
+    # a beam this narrow cuts even these short pairs, so their sweeps run
+    # bounded; the committed distances and scripts must come out unchanged
+    monkeypatch.setattr(engine, "_BEAM", width)
+    test_script_sweep_matches_committed_scripts()
+
+
 def test_reconstruct_inserts_on_every_tie_in_the_sweep():
     # follow each sweep-path script along the naive move graph; wherever
     # the insert and the match cost the same, the script must insert
@@ -512,7 +528,7 @@ def _live_and_kept(source, target):
             (kept._sweep(keep=True), kept.priced, len(kept.layers)))
 
 
-def test_live_layer_pass_equals_the_kept_sweep(rng):
+def test_live_layer_pass_equals_the_kept_sweep(rng, unpruned):
     # a distance-only solve holds one live layer and keeps none, yet finds
     # the kept sweep's value and prices exactly its states
     pairs = [(source, target) for source, target, _value, _ops in _sweep_cases()]
@@ -531,7 +547,7 @@ def test_live_layer_pass_equals_the_kept_sweep(rng):
     assert checked >= 1500
 
 
-def test_distance_only_solve_peaks_at_a_tenth_of_the_script_solve():
+def test_distance_only_solve_peaks_at_a_tenth_of_the_script_solve(unpruned):
     # the script solve keeps every layer for its walk, the distance-only
     # solve one live layer at a time
     source, target = generate_instance(
@@ -547,6 +563,83 @@ def test_distance_only_solve_peaks_at_a_tenth_of_the_script_solve():
         finally:
             tracemalloc.stop()
     assert peaks[False] * 10 <= peaks[True], peaks
+
+
+def _solves(source, target):
+    # (distance, script, memo entries) of a distance-only and a script solve
+    return [(result.distance, result.script, result.memo_entries)
+            for result in (correction_distance(source, target, with_script=with_script)
+                           for with_script in (False, True))]
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_pruned_and_unpruned_solves_agree_on_generated_specs(monkeypatch, width):
+    # a narrow beam cuts every layer it can, so the bounded sweep prunes
+    # hard; distances and scripts must still be the unpruned sweep's, and
+    # both modes price the same states, never more than the unpruned sweep
+    cut = 0
+    for profile in ("balanced-g", "max-g"):
+        for d in range(2, 6):
+            for n in (10, 20, 40, 80):
+                for seed in range(3):
+                    source, target = generate_instance(GeneratorSpec(
+                        d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed))
+                    monkeypatch.setattr(engine, "_BEAM", inf)
+                    unpruned = _solves(source, target)
+                    monkeypatch.setattr(engine, "_BEAM", width)
+                    pruned = _solves(source, target)
+                    assert [solve[:2] for solve in pruned] == [solve[:2] for solve in unpruned]
+                    assert pruned[0][2] == pruned[1][2] <= unpruned[0][2], (source, target)
+                    cut += pruned[0][2] < unpruned[0][2]
+    assert cut >= 50
+
+
+@pytest.mark.parametrize("beam, alphabet, max_n, max_m", [(1, 3, 3, 5), (4, 2, 4, 7)])
+def test_exhaustive_check_passes_under_a_narrow_beam(monkeypatch, beam, alphabet, max_n, max_m):
+    # the trust anchor with the beam and the bound on for tiny pairs too.
+    # Over three symbols no box exceeds 4 states below m = 6, which takes
+    # 23 s to check, so width 4 runs over two symbols up to m = 7
+    monkeypatch.setattr(engine, "_BEAM", beam)
+    sweep = _Computation._sweep
+    beams = []
+
+    def counted(self, keep=True, width=inf, bound=inf):
+        beams.append(width < inf)
+        return sweep(self, keep, width, bound)
+    monkeypatch.setattr(_Computation, "_sweep", counted)
+    assert exhaustive_oracle_check(max_n=max_n, max_m=max_m, alphabet_size=alphabet).ok
+    assert sum(beams) >= 1000
+
+
+def test_hard_pair_prices_under_a_million_states():
+    # balanced-g d = 4, n = 400 prices 6.49 M states unpruned; a count is
+    # asserted because, unlike a time, it does not vary between runs
+    source, target = generate_instance(
+        GeneratorSpec(d=4, n=400, m=600, profile="balanced-g", seed=0))
+    result = correction_distance(source, target)
+    assert result.stats.layer_bound > engine._BEAM
+    assert result.memo_entries < 10 ** 6
+
+
+def test_box_check_catches_a_layer_that_outgrows_its_box(monkeypatch, unpruned):
+    # a sweep that may insert any code at any time lets each matched count
+    # leave its window of g_a + 1 values, so its layers outgrow their box;
+    # the paper's looser memo bound lets that count through, the box does not
+    source, target = "babaaaaaabbaabbbbb", "aaaabbabaabbbabbabba"
+    stats = instance_stats(source, target)
+    box = (stats.m + 1) * stats.layer_bound
+    assert (stats.g_per_symbol, box) == ((1, 1), 84)
+    init = _Computation.__init__
+
+    def uncapped(self, *args):
+        init(self, *args)
+        self.spare = [self.m] * len(self.spare)
+    monkeypatch.setattr(_Computation, "__init__", uncapped)
+    comp = computation(source, target)
+    comp._sweep(keep=False)
+    assert box < comp.priced <= stats.predicted_state_bound
+    with pytest.raises(RuntimeError, match="box bound"):
+        correction_distance(source, target)
 
 
 @pytest.mark.parametrize("ops", [None, []])

@@ -1,6 +1,7 @@
 import csv
 import json
 from itertools import permutations
+from math import inf
 
 import pytest
 
@@ -13,6 +14,7 @@ from swapinsert import (
     instance_stats,
     run_bench,
 )
+from swapinsert import engine
 from swapinsert.engine import _Computation
 from swapinsert.toolkit import CSV_COLUMNS
 
@@ -213,9 +215,12 @@ def test_memo_entries_grow_with_imbalance():
     assert entries[0] < entries[1]
 
 
-def test_memo_entries_nondecreasing_in_state_bound():
+def test_memo_entries_nondecreasing_in_state_bound(monkeypatch):
     # sweeping the per-symbol imbalance target upward raises the predicted
-    # bound; mean memo usage must follow
+    # bound; mean memo usage must follow.  The states reachable at all are
+    # counted: with no beam and no bound every solve sweeps all of them,
+    # while the bounded count of a larger box may well be the smaller one
+    monkeypatch.setattr(engine, "_BEAM", inf)
     levels = []
     for g in range(4):
         bounds = []
@@ -252,8 +257,8 @@ def test_exhaustive_check_reports_a_live_pass_that_disagrees(monkeypatch, skew):
     # live layer; a wrong value or state count there is a mismatch
     sweep = _Computation._sweep
 
-    def skewed(self, keep=True):
-        value = sweep(self, keep)
+    def skewed(self, keep=True, width=inf, bound=inf):
+        value = sweep(self, keep, width, bound)
         if keep:
             return value
         if skew == "distance":
