@@ -255,14 +255,16 @@ class _Computation:
         best = inf  # the cheapest terminal state's full cost, live states only
         ended = False
         priced = 0
-        scores = [] if width < inf else None
+        beam, bounded = width < inf, bound < inf
+        scores = [] if beam else None
         for q in range(m):
             priced += len(layer)
             # a state's cost plus remaining inserts is cost + sum(key) + lead
-            lead = m - q - rest
             if scores is not None:
+                lead = m - q - rest
                 scores += [value + sum(key) + lead for key, value in layer.items()]
-            limit = bound - lead
+            if bounded:
+                limit = bound - m + q + rest  # bound - lead
             if keep:
                 layers.append(layer)
             following = {}
@@ -299,7 +301,7 @@ class _Computation:
                             bisect_left(select_s[u], r) for u in imbalanced])
                     edge = found[0] - sum(map(min, key, found[1]))
                     cost = value + edge
-                    if cost + total <= limit:
+                    if not bounded or cost + total <= limit:
                         child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
                         if following.get(child, inf) > cost:
                             following[child] = cost
@@ -319,7 +321,7 @@ class _Computation:
                     at += at & -at
                 rest -= 1
             before_l[b] += 1
-            if len(following) > width:
+            if beam and len(following) > width:
                 following = dict(sorted(following.items(), key=itemgetter(1))[:width])
                 self.cut = True
                 scores = None
