@@ -34,18 +34,18 @@ swaps plus m - n: it never falls along a move and never exceeds the
 cost of a full path through the state, an admissible estimate in the
 sense of A* (Hart, Nilsson & Raphael 1968).  When the box holds more
 than ``_BEAM`` (64) states, a beam pass first keeps the 64 cheapest
-states of each layer by cost; its value U is the cost of a real path,
-and exact when the beam never had to cut a layer, in which case a
-distance-only solve returns it.  Otherwise the sweep drops every match
-whose child's estimate exceeds U.  No state of an optimal path is
-dropped and their costs stay exact, so distances and scripts are those
-of the unpruned sweep, and the sweep prices exactly the reachable states
-whose estimate is at most U.  A pair whose box fits the beam runs the
-unpruned sweep alone.  For a script the sweep keeps every layer of the
-states it priced, a backward pass gives each state its cost-to-go, a
-dropped child counting as unreachable, and the walk then follows those
-values where the insert and the match both apply, taking the insert on a
-tie.
+states of each layer by cost; its value U is the cost of a real path.
+When the beam never had to cut a layer it was the unpruned sweep, and U
+is exact.  Otherwise a second sweep drops every match whose child's
+estimate exceeds U.  No state of an optimal path is dropped and their
+costs stay exact, so distances and scripts are those of the unpruned
+sweep, and the sweep prices exactly the reachable states whose estimate
+is at most U; an uncut beam counts those same states.  A pair whose box
+fits the beam runs the unpruned sweep alone.  For a script the sweep
+keeps every layer of the states it priced, a backward pass gives each
+state its cost-to-go, a dropped child counting as unreachable, and the
+walk then follows those values where the insert and the match both
+apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound, box) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
@@ -197,8 +197,8 @@ class _Computation:
     ``stats`` picks the solver: a pair with no imbalanced code runs only
     the forward walk and builds no layer, any other runs the sweep.  When
     a layer's box, ``stats.layer_bound``, holds more than ``_BEAM``
-    states, a beam pass comes first and its value bounds the one sweep
-    that prices states.  The sweep retains its layers only for a script,
+    states, a beam pass comes first; if it cuts a layer, its value bounds
+    a second sweep.  The sweep retains its layers only for a script,
     which the walk then writes along one of its optimal paths:
     ``layers[q]`` maps each state of layer q that the bound let through,
     keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
@@ -233,15 +233,15 @@ class _Computation:
         # when its child's cost plus remaining inserts, which never falls
         # along a move, exceeds ``bound``; an insert leaves that sum as it
         # is.  A layer of more than ``width`` states keeps the ``width``
-        # cheapest and sets ``cut``; until one does, ``scores`` holds each
-        # state's sum, so that ``priced`` can count the states a sweep
-        # bounded by this pass's value would price.  With ``keep`` each
-        # state, once relaxed, holds (edge, child, can_insert): the match
-        # cost, and the child or None when no match is left or the bound
-        # dropped it, and whether b may be inserted, keeping the key; every
-        # layer is kept in ``layers``, and the backward pass overwrites each
-        # entry with its cost-to-go for the walk.  Positions are 1-based,
-        # lists are indexed by code.
+        # cheapest, sets ``cut`` and stops keeping layers; until one does,
+        # ``scores`` holds each state's sum, so that ``priced`` can count
+        # the states a sweep bounded by this pass's value would price.
+        # With ``keep`` each state, once relaxed, holds (edge, child,
+        # can_insert): the match cost, and the child or None when no match
+        # is left or the bound dropped it, and whether b may be inserted,
+        # keeping the key; every layer is kept in ``layers``, and the
+        # backward pass overwrites each entry with its cost-to-go for the
+        # walk.  Positions are 1-based, lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
@@ -282,10 +282,10 @@ class _Computation:
                 if total == rest:
                     # every source position is matched: only inserts remain
                     ended = True
+                    if value + m - q < best:
+                        best = value + m - q
                     if keep:
                         layer[key] = m - q
-                    elif value + m - q < best:
-                        best = value + m - q
                     continue
                 k = before_l[b] if idx is None else key[idx]
                 edge = child = None
@@ -325,16 +325,19 @@ class _Computation:
                 following = dict(sorted(following.items(), key=itemgetter(1))[:width])
                 self.cut = True
                 scores = None
+                # cut layers cannot serve the walk: the bounded sweep keeps its own
+                keep = False
+                layers.clear()
             layer = following
         self.priced = priced + len(layer)
         if not (ended or layer):
             raise RuntimeError("internal error: no state of the sweep reached the end")
+        value = min(best, min(layer.values(), default=best))
+        if scores is not None:
+            # the whole sweep ran: count the states within its value
+            scores += layer.values()
+            self.priced = sum(score <= value for score in scores)
         if not keep:
-            value = min(best, min(layer.values(), default=best))
-            if scores is not None:
-                # the whole sweep ran: count the states within its value
-                scores += layer.values()
-                self.priced = sum(score <= value for score in scores)
             return value
         layers.append(dict.fromkeys(layer, 0))
         for q in range(m - 1, -1, -1):
@@ -439,9 +442,9 @@ class _Computation:
         on a pair with no imbalanced symbol the walk is the whole solve,
         otherwise it runs after a sweep that keeps every layer and follows
         their values.  Without ``ops`` the sweep keeps only its live layer.
-        A pair whose layer box exceeds ``_BEAM`` first runs a distance-only
-        beam pass; a distance-only solve whose beam cut no layer returns
-        its value, any other solve runs the sweep bounded by it.
+        A pair whose layer box exceeds ``_BEAM`` first runs a beam pass;
+        when it cut no layer it was the whole sweep, otherwise a sweep
+        bounded by its value follows.
         Target positions are produced left to right; matching the source
         occurrence at position r becomes an immediate run of adjacent
         swaps walking it down to the boundary.
@@ -449,13 +452,13 @@ class _Computation:
         if self.stats.s == 0:
             return self._walk(ops)
         keep = ops is not None
-        bound = inf
         if self.stats.layer_bound > _BEAM:
             # a beam's value is the cost of a real path; uncut, it is exact
-            bound = self._sweep(False, width=_BEAM)
-            if not (keep or self.cut):
-                return bound
-        value = self._sweep(keep, bound=bound)
+            value = self._sweep(keep, width=_BEAM)
+            if self.cut:
+                value = self._sweep(keep, bound=value)
+        else:
+            value = self._sweep(keep)
         if keep:
             self._walk(ops)
         return value

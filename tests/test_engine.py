@@ -585,20 +585,20 @@ def test_pruned_and_unpruned_solves_agree_on_generated_specs(monkeypatch, width)
                     source, target = generate_instance(GeneratorSpec(
                         d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed))
                     monkeypatch.setattr(engine, "_BEAM", inf)
-                    unpruned = _solves(source, target)
+                    full = _solves(source, target)
                     monkeypatch.setattr(engine, "_BEAM", width)
                     pruned = _solves(source, target)
-                    assert [solve[:2] for solve in pruned] == [solve[:2] for solve in unpruned]
-                    assert pruned[0][2] == pruned[1][2] <= unpruned[0][2], (source, target)
-                    cut += pruned[0][2] < unpruned[0][2]
+                    assert [solve[:2] for solve in pruned] == [solve[:2] for solve in full]
+                    assert pruned[0][2] == pruned[1][2] <= full[0][2], (source, target)
+                    cut += pruned[0][2] < full[0][2]
     assert cut >= 50
 
 
 @pytest.mark.parametrize("beam, alphabet, max_n, max_m", [(1, 3, 3, 5), (4, 2, 4, 7)])
 def test_exhaustive_check_passes_under_a_narrow_beam(monkeypatch, beam, alphabet, max_n, max_m):
     # the trust anchor with the beam and the bound on for tiny pairs too.
-    # Over three symbols no box exceeds 4 states below m = 6, which takes
-    # 23 s to check, so width 4 runs over two symbols up to m = 7
+    # Over three symbols no box exceeds 4 states before m = 6, and checking
+    # up to m = 6 takes 23 s, so width 4 runs over two symbols up to m = 7
     monkeypatch.setattr(engine, "_BEAM", beam)
     sweep = _Computation._sweep
     beams = []
