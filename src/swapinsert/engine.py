@@ -256,6 +256,9 @@ class _Computation:
         ended = False
         priced = 0
         beam, bounded = width < inf, bound < inf
+        # only a live layer, a beam or a bound reads the costs: an unpruned
+        # sweep that keeps its layers stores the last one without relaxing
+        relax = not keep or beam or bounded
         scores = [] if beam else None
         for q in range(m):
             priced += len(layer)
@@ -303,13 +306,13 @@ class _Computation:
                     cost = value + edge
                     if not bounded or cost + total <= limit:
                         child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
-                        if following.get(child, inf) > cost:
+                        if not relax or following.get(child, inf) > cost:
                             following[child] = cost
                 # a zero-cost match is forced
                 can_insert = k > floor and edge != 0
                 if can_insert:
                     cost = value + 1
-                    if following.get(key, inf) > cost:
+                    if not relax or following.get(key, inf) > cost:
                         following[key] = cost
                 if keep:
                     layer[key] = (edge, child, can_insert)
@@ -452,13 +455,10 @@ class _Computation:
         if self.stats.s == 0:
             return self._walk(ops)
         keep = ops is not None
-        if self.stats.layer_bound > _BEAM:
-            # a beam's value is the cost of a real path; uncut, it is exact
-            value = self._sweep(keep, width=_BEAM)
-            if self.cut:
-                value = self._sweep(keep, bound=value)
-        else:
-            value = self._sweep(keep)
+        # a beam's value is the cost of a real path; uncut, it is exact
+        value = self._sweep(keep, width=_BEAM if self.stats.layer_bound > _BEAM else inf)
+        if self.cut:
+            value = self._sweep(keep, bound=value)
         if keep:
             self._walk(ops)
         return value
