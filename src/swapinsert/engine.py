@@ -40,7 +40,9 @@ is exact.  Otherwise a second sweep drops every match whose child's
 estimate exceeds U.  No state of an optimal path is dropped and their
 costs stay exact, so distances and scripts are those of the unpruned
 sweep, and the sweep prices exactly the reachable states whose estimate
-is at most U; an uncut beam counts those same states.  A pair whose box
+is at most U.  ``memo_entries`` counts the states of the last pass: the
+uncut beam's, which are all the reachable states, or the bounded
+sweep's, never more than the unpruned sweep prices.  A pair whose box
 fits the beam runs the unpruned sweep alone.  For a script the sweep
 keeps every layer of the states it priced, a backward pass gives each
 state its cost-to-go, a dropped child counting as unreachable, and the
@@ -160,14 +162,15 @@ class InstanceStats:
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``memo_entries`` counts the states the sweep priced, bounded by the
-    beam's value when the pair's box exceeds the beam, and the same with
-    and without a script; it is never larger than the unpruned sweep's
-    count, 0 for a pair with no imbalanced symbol and for an infeasible
-    pair, and never exceeds ``stats.predicted_state_bound`` or m + 1
-    boxes of ``stats.layer_bound`` states.  ``stats`` is the pair's
-    difficulty profile, set on every result.  ``script`` is one optimal
-    correction script when one was asked for and the distance is finite.
+    ``memo_entries`` counts the states the solve's last sweep priced: the
+    bounded sweep's when the beam cut a layer, otherwise every reachable
+    state.  It is the same with and without a script, never larger than
+    the unpruned sweep's count, 0 for a pair with no imbalanced symbol
+    and for an infeasible pair, and never exceeds
+    ``stats.predicted_state_bound`` or m + 1 boxes of ``stats.layer_bound``
+    states.  ``stats`` is the pair's difficulty profile, set on every
+    result.  ``script`` is one optimal correction script when one was
+    asked for and the distance is finite.
     """
 
     distance: Cost
@@ -203,9 +206,8 @@ class _Computation:
     ``layers[q]`` maps each state of layer q that the bound let through,
     keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
     distance-only sweep holds one live layer at a time and leaves
-    ``layers`` empty.  ``priced`` counts the states the bounded sweep
-    prices, the same in both modes; ``cut`` records that the beam dropped
-    states.
+    ``layers`` empty.  ``priced`` counts the states the last sweep priced,
+    the same in both modes; ``cut`` records that the beam dropped states.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -233,15 +235,13 @@ class _Computation:
         # when its child's cost plus remaining inserts, which never falls
         # along a move, exceeds ``bound``; an insert leaves that sum as it
         # is.  A layer of more than ``width`` states keeps the ``width``
-        # cheapest, sets ``cut`` and stops keeping layers; until one does,
-        # ``scores`` holds each state's sum, so that ``priced`` can count
-        # the states a sweep bounded by this pass's value would price.
-        # With ``keep`` each state, once relaxed, holds (edge, child,
-        # can_insert): the match cost, and the child or None when no match
-        # is left or the bound dropped it, and whether b may be inserted,
-        # keeping the key; every layer is kept in ``layers``, and the
-        # backward pass overwrites each entry with its cost-to-go for the
-        # walk.  Positions are 1-based, lists are indexed by code.
+        # cheapest, sets ``cut`` and stops keeping layers.  With ``keep``
+        # each state, once relaxed, holds (edge, child, can_insert): the
+        # match cost, and the child or None when no match is left or the
+        # bound dropped it, and whether b may be inserted, keeping the
+        # key; every layer is kept in ``layers``, and the backward pass
+        # overwrites each entry with its cost-to-go for the walk.
+        # Positions are 1-based, lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
@@ -259,15 +259,12 @@ class _Computation:
         # only a live layer, a beam or a bound reads the costs: an unpruned
         # sweep that keeps its layers stores the last one without relaxing
         relax = not keep or beam or bounded
-        scores = [] if beam else None
         for q in range(m):
             priced += len(layer)
-            # a state's cost plus remaining inserts is cost + sum(key) + lead
-            if scores is not None:
-                lead = m - q - rest
-                scores += [value + sum(key) + lead for key, value in layer.items()]
             if bounded:
-                limit = bound - m + q + rest  # bound - lead
+                # a match's child has cost plus remaining inserts
+                # cost + sum(key) + m - q - rest, with key the parent's
+                limit = bound - m + q + rest
             if keep:
                 layers.append(layer)
             following = {}
@@ -327,7 +324,6 @@ class _Computation:
             if beam and len(following) > width:
                 following = dict(sorted(following.items(), key=itemgetter(1))[:width])
                 self.cut = True
-                scores = None
                 # cut layers cannot serve the walk: the bounded sweep keeps its own
                 keep = False
                 layers.clear()
@@ -336,10 +332,6 @@ class _Computation:
         if not (ended or layer):
             raise RuntimeError("internal error: no state of the sweep reached the end")
         value = min(best, min(layer.values(), default=best))
-        if scores is not None:
-            # the whole sweep ran: count the states within its value
-            scores += layer.values()
-            self.priced = sum(score <= value for score in scores)
         if not keep:
             return value
         layers.append(dict.fromkeys(layer, 0))

@@ -14,7 +14,6 @@ from swapinsert import (
     instance_stats,
     run_bench,
 )
-from swapinsert import engine
 from swapinsert.engine import _Computation
 from swapinsert.toolkit import CSV_COLUMNS
 
@@ -215,12 +214,9 @@ def test_memo_entries_grow_with_imbalance():
     assert entries[0] < entries[1]
 
 
-def test_memo_entries_nondecreasing_in_state_bound(monkeypatch):
+def test_memo_entries_nondecreasing_in_state_bound():
     # sweeping the per-symbol imbalance target upward raises the predicted
-    # bound; mean memo usage must follow.  The states reachable at all are
-    # counted: with no beam and no bound every solve sweeps all of them,
-    # while the bounded count of a larger box may well be the smaller one
-    monkeypatch.setattr(engine, "_BEAM", inf)
+    # bound; mean memo usage must follow
     levels = []
     for g in range(4):
         bounds = []
