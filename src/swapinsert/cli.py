@@ -158,19 +158,6 @@ def _echo(value) -> object:
     return value
 
 
-def _script_lines(script) -> List[str]:
-    # a byte symbol prints as its integer value, a text symbol as itself
-    lines = []
-    for op in script.ops:
-        if isinstance(op, Insert):
-            lines.append(f"ins {op.position} {op.symbol}")
-        elif isinstance(op, Swap):
-            lines.append(f"swap {op.position}")
-        elif isinstance(op, Delete):
-            lines.append(f"del {op.position}")
-    return lines
-
-
 def _script_json(script) -> List[dict]:
     out = []
     for op in script.ops:
@@ -237,8 +224,10 @@ def _cmd_dist(args, parser) -> int:
             print(f"weighted cost ({args.c_ins}, {args.c_swap}): {_cost_text(weighted)}")
         if args.script and result.script is not None:
             print("script:")
-            for line in _script_lines(result.script):
-                print(line)
+            # one line per JSON entry: a byte symbol prints as its integer
+            # value, a text symbol as itself
+            for entry in _script_json(result.script):
+                print(" ".join(map(str, entry.values())))
     return 0 if result.distance.is_finite else 2
 
 

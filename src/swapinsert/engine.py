@@ -32,22 +32,21 @@ The sweep is a branch and bound (Land & Doig 1960).  A state's cost plus
 its remaining inserts, (m - n) minus the inserts made so far, is its
 swaps plus m - n: it never falls along a move and never exceeds the
 cost of a full path through the state, an admissible estimate in the
-sense of A* (Hart, Nilsson & Raphael 1968).  When the box holds more
-than ``_BEAM`` (64) states, a beam pass first keeps the 64 cheapest
-states of each layer by cost; its value U is the cost of a real path.
-When the beam never had to cut a layer it was the unpruned sweep, and U
-is exact.  Otherwise a second sweep drops every match whose child's
-estimate exceeds U.  No state of an optimal path is dropped and their
-costs stay exact, so distances and scripts are those of the unpruned
-sweep, and the sweep prices exactly the reachable states whose estimate
-is at most U.  ``memo_entries`` counts the states of the last pass: the
-uncut beam's, which are all the reachable states, or the bounded
-sweep's, never more than the unpruned sweep prices.  A pair whose box
-fits the beam runs the unpruned sweep alone.  For a script the sweep
-keeps every layer of the states it priced, a backward pass gives each
-state its cost-to-go, a dropped child counting as unreachable, and the
-walk then follows those values where the insert and the match both
-apply, taking the insert on a tie.
+sense of A* (Hart, Nilsson & Raphael 1968).  A beam pass first keeps the
+``_BEAM`` (64) cheapest states of each layer by cost; its value U is the
+cost of a real path.  When the beam never had to cut a layer it was the
+unpruned sweep, and U is exact; a pair whose box holds at most 64 states
+is always such a pair.  Otherwise a second sweep drops every match whose
+child's estimate exceeds U.  No state of an optimal path is dropped and
+their costs stay exact, so distances and scripts are those of the
+unpruned sweep, and the sweep prices exactly the reachable states whose
+estimate is at most U.  ``memo_entries`` counts the states of the last
+pass: the uncut beam's, which are all the reachable states, or the
+bounded sweep's, never more than the unpruned sweep prices.  For a
+script the sweep keeps every layer of the states it priced, a backward
+pass gives each state its cost-to-go, a dropped child counting as
+unreachable, and the walk then follows those values where the insert
+and the match both apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound, box) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
@@ -67,8 +66,8 @@ from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string
 from .scripts import Delete, Insert, Script, Swap
 
 
-# States per layer that the beam pass keeps.  A pair whose layers all fit
-# runs one unpruned sweep; inf turns the beam and the bound off everywhere.
+# States per layer that the beam pass keeps; inf turns the beam and the
+# bound off everywhere.
 _BEAM = 64
 
 
@@ -198,11 +197,10 @@ class _Computation:
     """Single-use solve of one feasible pair; owns its layers exclusively.
 
     ``stats`` picks the solver: a pair with no imbalanced code runs only
-    the forward walk and builds no layer, any other runs the sweep.  When
-    a layer's box, ``stats.layer_bound``, holds more than ``_BEAM``
-    states, a beam pass comes first; if it cuts a layer, its value bounds
-    a second sweep.  The sweep retains its layers only for a script,
-    which the walk then writes along one of its optimal paths:
+    the forward walk and builds no layer, any other runs the sweep as a
+    beam pass; if it cuts a layer, its value bounds a second sweep.  The
+    sweep retains its layers only for a script, which the walk then
+    writes along one of its optimal paths:
     ``layers[q]`` maps each state of layer q that the bound let through,
     keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
     distance-only sweep holds one live layer at a time and leaves
@@ -252,13 +250,9 @@ class _Computation:
         layers = self.layers
         start = (0,) * len(imbalanced)
         layer = {start: 0}
-        best = inf  # the cheapest terminal state's full cost, live states only
-        ended = False
+        best = inf  # the cheapest terminal state's full cost
         priced = 0
-        beam, bounded = width < inf, bound < inf
-        # only a live layer, a beam or a bound reads the costs: an unpruned
-        # sweep that keeps its layers stores the last one without relaxing
-        relax = not keep or beam or bounded
+        bounded = bound < inf
         for q in range(m):
             priced += len(layer)
             if bounded:
@@ -281,7 +275,6 @@ class _Computation:
                 total = sum(key)
                 if total == rest:
                     # every source position is matched: only inserts remain
-                    ended = True
                     if value + m - q < best:
                         best = value + m - q
                     if keep:
@@ -303,13 +296,13 @@ class _Computation:
                     cost = value + edge
                     if not bounded or cost + total <= limit:
                         child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
-                        if not relax or following.get(child, inf) > cost:
+                        if following.get(child, inf) > cost:
                             following[child] = cost
                 # a zero-cost match is forced
                 can_insert = k > floor and edge != 0
                 if can_insert:
                     cost = value + 1
-                    if not relax or following.get(key, inf) > cost:
+                    if following.get(key, inf) > cost:
                         following[key] = cost
                 if keep:
                     layer[key] = (edge, child, can_insert)
@@ -321,7 +314,7 @@ class _Computation:
                     at += at & -at
                 rest -= 1
             before_l[b] += 1
-            if beam and len(following) > width:
+            if len(following) > width:
                 following = dict(sorted(following.items(), key=itemgetter(1))[:width])
                 self.cut = True
                 # cut layers cannot serve the walk: the bounded sweep keeps its own
@@ -329,7 +322,7 @@ class _Computation:
                 layers.clear()
             layer = following
         self.priced = priced + len(layer)
-        if not (ended or layer):
+        if best == inf and not layer:
             raise RuntimeError("internal error: no state of the sweep reached the end")
         value = min(best, min(layer.values(), default=best))
         if not keep:
@@ -437,9 +430,8 @@ class _Computation:
         on a pair with no imbalanced symbol the walk is the whole solve,
         otherwise it runs after a sweep that keeps every layer and follows
         their values.  Without ``ops`` the sweep keeps only its live layer.
-        A pair whose layer box exceeds ``_BEAM`` first runs a beam pass;
-        when it cut no layer it was the whole sweep, otherwise a sweep
-        bounded by its value follows.
+        The sweep is first a beam pass; when it cut no layer it was the
+        whole sweep, otherwise a sweep bounded by its value follows.
         Target positions are produced left to right; matching the source
         occurrence at position r becomes an immediate run of adjacent
         swaps walking it down to the boundary.
@@ -448,17 +440,12 @@ class _Computation:
             return self._walk(ops)
         keep = ops is not None
         # a beam's value is the cost of a real path; uncut, it is exact
-        value = self._sweep(keep, width=_BEAM if self.stats.layer_bound > _BEAM else inf)
+        value = self._sweep(keep, width=_BEAM)
         if self.cut:
             value = self._sweep(keep, bound=value)
         if keep:
             self._walk(ops)
         return value
-
-
-def feasible(source: IndexedString, target: IndexedString) -> bool:
-    """True when no symbol occurs more often in the source than the target."""
-    return InstanceStats.of(source, target).feasible
 
 
 def _run(source: IndexedString, target: IndexedString, with_script: bool) -> EngineResult:

@@ -104,12 +104,6 @@ class IndexedString:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def code_at(self, position: int) -> int:
-        """Symbol code at a 1-based position."""
-        if not 1 <= position <= len(self.symbols):
-            raise ValueError(f"position {position} outside [1..{len(self.symbols)}]")
-        return self.symbols[position - 1]
-
     def __repr__(self) -> str:
         return f"IndexedString(len={len(self.symbols)}, d={self.alphabet.d})"
 

@@ -27,7 +27,7 @@ from .oracles import (
     matching_distance,
     ucs_distance,
 )
-from .scripts import apply_script
+from .scripts import verify_script
 
 
 class InfeasibleProfile(ValueError):
@@ -106,8 +106,9 @@ def _nudge_counts(rng: random.Random, n_counts: List[int], m_counts: List[int],
                 trial[idx] += step
                 gs = [_g_after(nc, mc) for nc, mc in zip(trial, m_counts)]
                 return (max(gs), sum(gs))
-            best = max(score(idx) for idx in movable)
-            choice = rng.choice([idx for idx in movable if score(idx) == best])
+            scores = [score(idx) for idx in movable]
+            best = max(scores)
+            choice = rng.choice([idx for idx, sc in zip(movable, scores) if sc == best])
         else:
             choice = rng.choice(movable)
         n_counts[choice] += step
@@ -425,9 +426,9 @@ def exhaustive_oracle_check(
                 mismatches.append((source, target, engine, repr(ucs), repr(matching)))
                 continue
             if result.distance.is_finite:
-                replayed = apply_script(source, result.script)
-                if (replayed != target
-                        or len(result.script) != result.distance.value
-                        or result.script.insert_count != len(target) - len(source)):
+                verdict = verify_script(source, target, result.script)
+                if (not verdict.valid
+                        or verdict.cost != result.distance.value
+                        or verdict.insert_count != len(target) - len(source)):
                     script_failures.append((source, target, repr(result.script)))
     return EquivalenceReport(pairs, tuple(mismatches), tuple(script_failures))

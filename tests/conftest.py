@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+
+from swapinsert import Script, Swap, correction_distance, toolkit
 
 
 def random_pair(rng: random.Random, max_d: int = 3, max_n: int = 6, max_m: int = 8):
@@ -29,3 +32,14 @@ def random_feasible_pair(rng: random.Random, max_d: int = 3, max_n: int = 6,
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def unreplayable_script(monkeypatch):
+    """The trust anchor's engine answers ab -> ab with a swap past the end."""
+    def broken(source, target, with_script=False):
+        result = correction_distance(source, target, with_script=with_script)
+        if with_script and (source, target) == ("ab", "ab"):
+            return dataclasses.replace(result, script=Script((Swap(5),)))
+        return result
+    monkeypatch.setattr(toolkit, "correction_distance", broken)

@@ -419,6 +419,14 @@ def test_selftest_rejects_bounds_it_cannot_honour(capsys, bad):
     assert "error" in err_text
 
 
+def test_selftest_reports_a_script_it_cannot_replay(capsys, unreplayable_script):
+    code, out, err = run_cli(capsys, "selftest", "--max-n", "2", "--max-m", "2")
+    assert code == 1
+    assert "BAD SCRIPT 'ab' -> 'ab'" in out
+    assert "selftest FAILED: 0 mismatches, 1 bad scripts" in out
+    assert "usage" not in out + err
+
+
 def test_selftest_budget_overrun_is_not_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "selftest", "--max-n", "1", "--max-m", "1", "--budget", "1")
     assert code == 3

@@ -20,7 +20,6 @@ from swapinsert import (
     correction_distance,
     distance_with_script,
     exhaustive_oracle_check,
-    feasible,
     generate_instance,
     GeneratorSpec,
     index_string,
@@ -116,16 +115,16 @@ def _naive_values(comp, layers):
 # -- feasibility ------------------------------------------------------------
 
 def test_feasible_examples():
-    assert not feasible(*indexed_pair("aa", "a"))
-    assert feasible(*indexed_pair("", "abc"))
-    assert feasible(*indexed_pair("ab", "ba"))
+    assert not InstanceStats.of(*indexed_pair("aa", "a")).feasible
+    assert InstanceStats.of(*indexed_pair("", "abc")).feasible
+    assert InstanceStats.of(*indexed_pair("ab", "ba")).feasible
 
 
 def test_mismatched_alphabets_rejected():
     amap1 = build_alphabet("a", "a")
     amap2 = build_alphabet("b", "b")
     with pytest.raises(ValueError):
-        feasible(index_string("a", amap1), index_string("b", amap2))
+        InstanceStats.of(index_string("a", amap1), index_string("b", amap2)).feasible
 
 
 # -- distance ---------------------------------------------------------------
@@ -159,7 +158,7 @@ def test_finite_iff_feasible(rng):
         source, target = random_pair(rng)
         result = correction_distance(source, target)
         S, L = indexed_pair(source, target)
-        assert result.distance.is_finite == feasible(S, L), (source, target)
+        assert result.distance.is_finite == InstanceStats.of(S, L).feasible, (source, target)
 
 
 def test_finite_distances_stay_within_loose_bound(rng):
@@ -572,26 +571,50 @@ def _solves(source, target):
                            for with_script in (False, True))]
 
 
+def _generated_pairs():
+    # 96 balanced-g and max-g pairs, d = 2..5, n = 10..80, m = 1.5 n
+    for profile in ("balanced-g", "max-g"):
+        for d in range(2, 6):
+            for n in (10, 20, 40, 80):
+                for seed in range(3):
+                    yield generate_instance(GeneratorSpec(
+                        d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed))
+
+
 @pytest.mark.parametrize("width", [1, 4])
 def test_pruned_and_unpruned_solves_agree_on_generated_specs(monkeypatch, width):
     # a narrow beam cuts every layer it can, so the bounded sweep prunes
     # hard; distances and scripts must still be the unpruned sweep's, and
     # both modes price the same states, never more than the unpruned sweep
     cut = 0
-    for profile in ("balanced-g", "max-g"):
-        for d in range(2, 6):
-            for n in (10, 20, 40, 80):
-                for seed in range(3):
-                    source, target = generate_instance(GeneratorSpec(
-                        d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed))
-                    monkeypatch.setattr(engine, "_BEAM", inf)
-                    full = _solves(source, target)
-                    monkeypatch.setattr(engine, "_BEAM", width)
-                    pruned = _solves(source, target)
-                    assert [solve[:2] for solve in pruned] == [solve[:2] for solve in full]
-                    assert pruned[0][2] == pruned[1][2] <= full[0][2], (source, target)
-                    cut += pruned[0][2] < full[0][2]
+    for source, target in _generated_pairs():
+        monkeypatch.setattr(engine, "_BEAM", inf)
+        full = _solves(source, target)
+        monkeypatch.setattr(engine, "_BEAM", width)
+        pruned = _solves(source, target)
+        assert [solve[:2] for solve in pruned] == [solve[:2] for solve in full]
+        assert pruned[0][2] == pruned[1][2] <= full[0][2], (source, target)
+        cut += pruned[0][2] < full[0][2]
     assert cut >= 50
+
+
+def test_a_beam_as_wide_as_the_box_never_cuts():
+    # no layer holds more states than its box, so on a pair whose box fits
+    # the default beam the beam pass is the unpruned sweep, in both modes
+    checked = 0
+    for source, target in _generated_pairs():
+        full = computation(source, target)
+        if not 0 < full.stats.s or full.stats.layer_bound > engine._BEAM:
+            continue
+        full._sweep(keep=False)
+        for ops in (None, []):
+            comp = computation(source, target)
+            comp.solve(ops)
+            assert not comp.cut, (source, target)
+            result = correction_distance(source, target, with_script=ops is not None)
+            assert result.memo_entries == full.priced, (source, target)
+        checked += 1
+    assert checked >= 80
 
 
 @pytest.mark.parametrize("beam, alphabet, max_n, max_m", [(1, 3, 3, 5), (4, 2, 4, 7)])

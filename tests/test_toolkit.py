@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import random
 from itertools import permutations
 from math import inf
 
@@ -150,6 +152,40 @@ def test_custom_profile_targets():
     assert all(abs(r - t) <= 1 for r, t in zip(realized, (2, 1)))
 
 
+PINNED_DIGEST = "d29bddd81eddd66004067cdb8ff2d082bc095c4436f5af7dd308f164bced5445"
+
+
+def _pinned_specs():
+    # the benchmark's memo-dp specs, the first 150 cli-small shapes, custom
+    # imbalance targets, and a wide max-g alphabet that nudges many codes
+    specs = [GeneratorSpec(d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed)
+             for profile, d, n in (("balanced-g", 3, 160), ("balanced-g", 4, 160),
+                                   ("max-g", 3, 120), ("max-g", 4, 100))
+             for seed in (0, 1)]
+    rng = random.Random(2015)
+    for k in range(150):
+        d = 2 + k % 5
+        n = rng.randint(d, 30)
+        specs.append(GeneratorSpec(d=d, n=n, m=rng.randint(n, n + n // 2),
+                                   profile=("zero-g", "balanced-g", "max-g")[k // 5 % 3],
+                                   seed=k))
+    specs += [GeneratorSpec(d=3, n=20, m=30, profile="custom", seed=seed, g_targets=(g,) * 3)
+              for g in range(4) for seed in range(5)]
+    specs += [GeneratorSpec(d=20, n=300, m=450, profile=profile, seed=seed)
+              for profile in ("zero-g", "balanced-g", "max-g") for seed in range(2)]
+    return specs
+
+
+def test_generated_instances_are_pinned():
+    # the digest of every pair above, recorded before the generator was
+    # last changed: the benchmark's inputs must not move with its code
+    digest = hashlib.sha256()
+    for spec in _pinned_specs():
+        source, target = generate_instance(spec)
+        digest.update(f"{source}|{target}\n".encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
 def test_infeasible_profiles_rejected():
     with pytest.raises(InfeasibleProfile):
         generate_instance(GeneratorSpec(d=3, n=1, m=2, profile="zero-g", seed=0))
@@ -268,3 +304,12 @@ def test_exhaustive_check_reports_a_live_pass_that_disagrees(monkeypatch, skew):
     for _source, _target, engine, ucs, _matching in report.mismatches:
         assert "distance only" in engine
         assert engine.startswith(ucs)
+
+
+def test_exhaustive_check_reports_a_script_it_cannot_replay(unreplayable_script):
+    # a script the replay rejects is a script failure, not an exception
+    report = exhaustive_oracle_check(max_n=2, max_m=2, alphabet_size=2)
+    assert not report.ok
+    assert not report.mismatches
+    assert [(source, target) for source, target, _script in report.script_failures] \
+        == [("ab", "ab")]
