@@ -32,20 +32,30 @@ The sweep is a branch and bound (Land & Doig 1960).  A state's cost plus
 its remaining inserts, (m - n) minus the inserts made so far, is its
 swaps plus m - n: it never falls along a move and never exceeds the
 cost of a full path through the state, an admissible estimate in the
-sense of A* (Hart, Nilsson & Raphael 1968).  A beam pass first keeps the
-``_BEAM`` (64) cheapest states of each layer by cost; its value U is the
-cost of a real path.  When the beam never had to cut a layer it was the
-unpruned sweep, and U is exact; a pair whose box holds at most 64 states
-is always such a pair.  Otherwise a second sweep drops every match whose
-child's estimate exceeds U.  No state of an optimal path is dropped and
-their costs stay exact, so distances and scripts are those of the
-unpruned sweep, and the sweep prices exactly the reachable states whose
-estimate is at most U.  ``memo_entries`` counts the states of the last
-pass: the uncut beam's, which are all the reachable states, or the
-bounded sweep's, never more than the unpruned sweep prices.  For a
-script the sweep keeps every layer of the states it priced, a backward
-pass gives each state its cost-to-go, a dropped child counting as
-unreachable, and the walk then follows those values where the insert
+sense of A* (Hart, Nilsson & Raphael 1968).  A solve runs up to three
+passes of the one sweep:
+
+1. a beam that keeps the ``_BEAM`` (64) cheapest states of each layer
+   by cost.  When it never has to cut a layer it was the unpruned
+   sweep, its value is exact and the solve ends; a pair whose box holds
+   at most 64 states is always such a pair.  From its first cut on it
+   keeps only ``_BEAM // 8`` (at least 1) states per layer, since its
+   value U1, the cost of a real path, serves only as a bound;
+2. a ``_BEAM``-wide beam that drops every match whose child's estimate
+   exceeds U1.  When it cuts no layer it was the sweep bounded by U1, and its
+   value is exact; a cut one may end with no state, value inf;
+3. if the second pass cut, a sweep bounded by the smaller of the two
+   values, with no beam.
+
+A bounded pass never drops a state of an optimal path and keeps their
+costs exact, so distances and scripts are those of the unpruned sweep,
+and an uncut bounded pass prices exactly the reachable states whose
+estimate is at most its bound.  ``memo_entries`` counts the states of
+the last pass: the uncut first beam's, which are all the reachable
+states, or a bounded pass's, never more than the unpruned sweep prices.
+For a script the last pass keeps every layer of the states it priced, a
+backward pass gives each state its cost-to-go, a dropped child counting
+as unreachable, and the walk then follows those values where the insert
 and the match both apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound, box) is the
@@ -66,8 +76,8 @@ from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string
 from .scripts import Delete, Insert, Script, Swap
 
 
-# States per layer that the beam pass keeps; inf turns the beam and the
-# bound off everywhere.
+# States per layer that the beam passes keep, an eighth of it once the
+# unbounded beam has cut; inf turns the beams and the bounds off everywhere.
 _BEAM = 64
 
 
@@ -161,9 +171,10 @@ class InstanceStats:
 class EngineResult:
     """Outcome of one distance computation.
 
-    ``memo_entries`` counts the states the solve's last sweep priced: the
-    bounded sweep's when the beam cut a layer, otherwise every reachable
-    state.  It is the same with and without a script, never larger than
+    ``memo_entries`` counts the states the solve's last pass priced: every
+    reachable state when the first beam cut no layer, otherwise those of
+    the bounded pass that settled the value.  It is the same with and
+    without a script, never larger than
     the unpruned sweep's count, 0 for a pair with no imbalanced symbol
     and for an infeasible pair, and never exceeds
     ``stats.predicted_state_bound`` or m + 1 boxes of ``stats.layer_bound``
@@ -197,15 +208,16 @@ class _Computation:
     """Single-use solve of one feasible pair; owns its layers exclusively.
 
     ``stats`` picks the solver: a pair with no imbalanced code runs only
-    the forward walk and builds no layer, any other runs the sweep as a
-    beam pass; if it cuts a layer, its value bounds a second sweep.  The
-    sweep retains its layers only for a script, which the walk then
+    the forward walk and builds no layer, any other runs the up to three
+    passes of the sweep that the module docstring describes.  The last
+    pass retains its layers only for a script, which the walk then
     writes along one of its optimal paths:
     ``layers[q]`` maps each state of layer q that the bound let through,
     keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
     distance-only sweep holds one live layer at a time and leaves
-    ``layers`` empty.  ``priced`` counts the states the last sweep priced,
-    the same in both modes; ``cut`` records that the beam dropped states.
+    ``layers`` empty.  ``priced`` counts the states the last pass priced,
+    the same in both modes; ``cut`` records that it dropped states for
+    its width.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -233,7 +245,9 @@ class _Computation:
         # when its child's cost plus remaining inserts, which never falls
         # along a move, exceeds ``bound``; an insert leaves that sum as it
         # is.  A layer of more than ``width`` states keeps the ``width``
-        # cheapest, sets ``cut`` and stops keeping layers.  With ``keep``
+        # cheapest, sets ``cut`` and stops keeping layers; an unbounded
+        # pass then narrows ``width`` to an eighth, and a cut pass may end
+        # with no state and return inf.  With ``keep``
         # each state, once relaxed, holds (edge, child, can_insert): the
         # match cost, and the child or None when no match is left or the
         # bound dropped it, and whether b may be inserted, keeping the
@@ -244,6 +258,7 @@ class _Computation:
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
         imbalanced = self.imbalanced
+        self.cut = False
         tree = [0] * (n + 1)  # Fenwick tree over the balanced codes' matched positions
         before_l = [0] * (d + 1)
         rest = n  # source positions no balanced code has matched
@@ -316,13 +331,16 @@ class _Computation:
             before_l[b] += 1
             if len(following) > width:
                 following = dict(sorted(following.items(), key=itemgetter(1))[:width])
+                if not (self.cut or bounded):
+                    # an unbounded beam needs only some path's cost once it cuts
+                    width = width // 8 or 1
                 self.cut = True
-                # cut layers cannot serve the walk: the bounded sweep keeps its own
+                # cut layers cannot serve the walk: a later pass keeps its own
                 keep = False
                 layers.clear()
             layer = following
         self.priced = priced + len(layer)
-        if best == inf and not layer:
+        if best == inf and not layer and not self.cut:
             raise RuntimeError("internal error: no state of the sweep reached the end")
         value = min(best, min(layer.values(), default=best))
         if not keep:
@@ -430,8 +448,10 @@ class _Computation:
         on a pair with no imbalanced symbol the walk is the whole solve,
         otherwise it runs after a sweep that keeps every layer and follows
         their values.  Without ``ops`` the sweep keeps only its live layer.
-        The sweep is first a beam pass; when it cut no layer it was the
-        whole sweep, otherwise a sweep bounded by its value follows.
+        The first pass is a beam; each pass that cuts a layer is followed
+        by one bounded by the least value so far, a ``_BEAM``-wide beam
+        after the first and a sweep with no beam after the second; the
+        first pass that cuts nothing settles the distance.
         Target positions are produced left to right; matching the source
         occurrence at position r becomes an immediate run of adjacent
         swaps walking it down to the boundary.
@@ -442,7 +462,9 @@ class _Computation:
         # a beam's value is the cost of a real path; uncut, it is exact
         value = self._sweep(keep, width=_BEAM)
         if self.cut:
-            value = self._sweep(keep, bound=value)
+            value = min(value, self._sweep(keep, width=_BEAM, bound=value))
+            if self.cut:
+                value = self._sweep(keep, bound=value)
         if keep:
             self._walk(ops)
         return value

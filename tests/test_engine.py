@@ -644,6 +644,36 @@ def test_hard_pair_prices_under_a_million_states():
     assert result.memo_entries < 10 ** 6
 
 
+def test_bounded_beam_stays_wide_on_a_five_symbol_pair():
+    # s = 3 of d = 5: the 64-wide beam under the narrow beam's bound prices
+    # 46,080 states here; narrowing that bounded beam too prices 289,688
+    source, target = generate_instance(
+        GeneratorSpec(d=5, n=200, m=300, profile="balanced-g", seed=0))
+    result = correction_distance(source, target)
+    assert result.stats.s == 3
+    assert result.memo_entries < 100_000
+
+
+def test_narrow_first_beam_prices_few_states_on_memo_specs(monkeypatch):
+    # every pass of a distance-only solve over the benchmark's memo specs:
+    # a beam kept 64 wide to the end prices 59,160 states, one that
+    # narrows to 8 after its first cut 26,712
+    sweep = _Computation._sweep
+    priced = []
+
+    def counted(self, keep=True, width=inf, bound=inf):
+        value = sweep(self, keep, width, bound)
+        priced.append(self.priced)
+        return value
+    monkeypatch.setattr(_Computation, "_sweep", counted)
+    for profile, d, n in (("balanced-g", 3, 160), ("balanced-g", 4, 160),
+                          ("max-g", 3, 120), ("max-g", 4, 100)):
+        for seed in (0, 1):
+            correction_distance(*generate_instance(GeneratorSpec(
+                d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed)))
+    assert sum(priced) <= 35_000, priced
+
+
 def test_box_check_catches_a_layer_that_outgrows_its_box(monkeypatch, unpruned):
     # a sweep that may insert any code at any time lets each matched count
     # leave its window of g_a + 1 values, so its layers outgrow their box;
