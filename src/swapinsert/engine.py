@@ -53,10 +53,13 @@ and an uncut bounded pass prices exactly the reachable states whose
 estimate is at most its bound.  ``memo_entries`` counts the states of
 the last pass: the uncut first beam's, which are all the reachable
 states, or a bounded pass's, never more than the unpruned sweep prices.
-For a script the last pass keeps every layer of the states it priced, a
-backward pass gives each state its cost-to-go, a dropped child counting
-as unreachable, and the walk then follows those values where the insert
-and the match both apply, taking the insert on a tie.
+For a script the last pass keeps every layer of the states it priced,
+one int per state: its match cost and two flags, whether the match child
+survived the bound and whether the insert applies; the child's key is
+rebuilt from the state's own.  A backward pass turns each int into the
+state's cost-to-go, a dropped child counting as unreachable, and the
+walk then follows those values where the insert and the match both
+apply, taking the insert on a tie.
 
 The pair's difficulty profile (counts, imbalances, memo bound, box) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
@@ -247,12 +250,14 @@ class _Computation:
         # is.  A layer of more than ``width`` states keeps the ``width``
         # cheapest, sets ``cut`` and stops keeping layers; an unbounded
         # pass then narrows ``width`` to an eighth, and a cut pass may end
-        # with no state and return inf.  With ``keep``
-        # each state, once relaxed, holds (edge, child, can_insert): the
-        # match cost, and the child or None when no match is left or the
-        # bound dropped it, and whether b may be inserted, keeping the
-        # key; every layer is kept in ``layers``, and the backward pass
-        # overwrites each entry with its cost-to-go for the walk.
+        # with no state and return inf.  With ``keep`` every layer is kept
+        # in ``layers``, and each state, once relaxed, holds one int:
+        # ``edge << 2 | survived << 1 | can_insert``, the match cost (0
+        # when no match is left), whether the match child exists and the
+        # bound let it through, and whether b may be inserted, keeping
+        # the key; a terminal state holds q - m - 1 < 0.  The backward
+        # pass rebuilds each match child from the key and overwrites every
+        # entry with its cost-to-go for the walk.
         # Positions are 1-based, lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         l_syms = self.target.symbols
@@ -293,10 +298,11 @@ class _Computation:
                     if value + m - q < best:
                         best = value + m - q
                     if keep:
-                        layer[key] = m - q
+                        layer[key] = q - m - 1
                     continue
                 k = before_l[b] if idx is None else key[idx]
-                edge = child = None
+                edge = None
+                survived = 0
                 if k < left:
                     found = cache.get(k)
                     if found is None:
@@ -313,6 +319,7 @@ class _Computation:
                         child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
                         if following.get(child, inf) > cost:
                             following[child] = cost
+                        survived = 2
                 # a zero-cost match is forced
                 can_insert = k > floor and edge != 0
                 if can_insert:
@@ -320,7 +327,7 @@ class _Computation:
                     if following.get(key, inf) > cost:
                         following[key] = cost
                 if keep:
-                    layer[key] = (edge, child, can_insert)
+                    layer[key] = (edge or 0) << 2 | survived | can_insert
             if idx is None and occurrences:
                 # a balanced code present in the source matches its next occurrence
                 at = occurrences[before_l[b]]
@@ -348,13 +355,18 @@ class _Computation:
         layers.append(dict.fromkeys(layer, 0))
         for q in range(m - 1, -1, -1):
             layer, following = layers[q], layers[q + 1]
+            idx = slot.get(l_syms[q])
             for key, entry in layer.items():
-                if entry.__class__ is int:
+                if entry < 0:
+                    layer[key] = -1 - entry
                     continue
-                edge, child, can_insert = entry
-                # a match the bound dropped leads nowhere
-                value = inf if child is None else edge + following[child]
-                if can_insert and 1 + following[key] < value:
+                if entry & 2:
+                    child = key if idx is None else key[:idx] + (key[idx] + 1,) + key[idx + 1:]
+                    value = (entry >> 2) + following[child]
+                else:
+                    # no match is left, or the bound dropped it: it leads nowhere
+                    value = inf
+                if entry & 1 and 1 + following[key] < value:
                     value = 1 + following[key]
                 layer[key] = value
         return layers[0][start]
@@ -376,7 +388,7 @@ class _Computation:
         s_syms = self.source.symbols
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
-        raw_of = self.source.alphabet.raw_of
+        raw = self.source.alphabet.external_symbols
         k = [0] * (d + 1)
         live = set()
         # occurrences of each code before source position p / target position q
@@ -386,7 +398,8 @@ class _Computation:
         while True:
             if p == n:
                 if ops is not None:
-                    ops.extend(Insert(pos, raw_of(l_syms[pos - 1])) for pos in range(q + 1, m + 1))
+                    ops.extend(map(Insert, range(q + 1, m + 1),
+                                   [raw[code - 1] for code in l_syms[q:]]))
                 return total + (m - q)
             if q == m:
                 if sum(k) < n:
@@ -430,13 +443,13 @@ class _Computation:
                     swap = edge + following.get(tuple(key), inf) < 1 + ins_value
             if swap:
                 if ops is not None:
-                    ops.extend(Swap(pos) for pos in range(q + edge, q, -1))
+                    ops.extend(map(Swap, range(q + edge, q, -1)))
                 total += edge
                 k[b] = kb + 1
                 live.add(b)
             else:
                 if ops is not None:
-                    ops.append(Insert(q + 1, raw_of(b)))
+                    ops.append(Insert(q + 1, raw[b - 1]))
                 total += 1
             before_l[b] += 1
             q += 1

@@ -1,12 +1,16 @@
 """Dense alphabet coding plus rank/select/count queries over strings.
 
-An index takes O(n) space for any alphabet size: it keeps, per code, the
-sorted positions of that code's occurrences.  ``select`` reads them in
-O(1); ``rank`` and ``count`` bisect them in O(log n).
+An index counts each code's occurrences when it is built.  Its table of
+per-code occurrence positions is built on first read and cached, so it
+costs O(n) space, for any alphabet size, only for a string whose table
+is read: a solve reads the source's and never the target's.  ``select``
+reads the table in O(1); ``rank`` and ``count`` bisect it in O(log n).
 
 Symbol codes live in [1..d] and string positions are 1-based everywhere.
-Maps and indexes are immutable after construction and safe to share
-between threads and computations.
+Maps and indexes are immutable after construction, apart from that
+cache, and safe to share between threads and computations: two threads
+that read a table for the first time may each build an equal table, and
+one of them is kept.
 """
 
 from bisect import bisect_left, bisect_right
@@ -83,23 +87,34 @@ def build_alphabet(source: Sequence, target: Sequence) -> AlphabetMap:
 
 
 class IndexedString:
-    """A coded string with its per-code occurrence positions.
+    """A coded string with its per-code counts and occurrence positions.
 
+    ``per_symbol_count`` lists, per code, its number of occurrences.
     ``select_table`` lists, per code, the 1-based positions of its
-    occurrences in order, so the whole index holds n positions however
-    large the alphabet is.
+    occurrences in order, so it holds n positions however large the
+    alphabet is; it is built on first read and cached.
     """
 
-    __slots__ = ("alphabet", "symbols", "select_table", "per_symbol_count")
+    __slots__ = ("alphabet", "symbols", "per_symbol_count", "_select_table")
 
     def __init__(self, symbols: Tuple[int, ...], alphabet: AlphabetMap) -> None:
         self.alphabet = alphabet
         self.symbols = symbols
-        positions: List[List[int]] = [[] for _ in range(alphabet.d)]
-        for pos, code in enumerate(symbols, 1):
-            positions[code - 1].append(pos)
-        self.select_table = positions
-        self.per_symbol_count = [len(occ) for occ in positions]
+        counts = [0] * (alphabet.d + 1)
+        for code in symbols:
+            counts[code] += 1
+        self.per_symbol_count = counts[1:]
+        self._select_table: Optional[List[List[int]]] = None
+
+    @property
+    def select_table(self) -> List[List[int]]:
+        table = self._select_table
+        if table is None:
+            table = [[] for _ in range(self.alphabet.d)]
+            for pos, code in enumerate(self.symbols, 1):
+                table[code - 1].append(pos)
+            self._select_table = table
+        return table
 
     def __len__(self) -> int:
         return len(self.symbols)

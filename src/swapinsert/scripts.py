@@ -25,7 +25,7 @@ class EqualSymbolSwap(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Insert:
     """Insert ``symbol`` so that it lands at ``position``."""
 
@@ -33,14 +33,14 @@ class Insert:
     symbol: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Swap:
     """Exchange the symbols at ``position`` and ``position + 1``."""
 
     position: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delete:
     """Remove the symbol at ``position`` (appears in swap-delete scripts only)."""
 

@@ -564,6 +564,22 @@ def test_distance_only_solve_peaks_at_a_tenth_of_the_script_solve(unpruned):
     assert peaks[False] * 10 <= peaks[True], peaks
 
 
+def test_script_solve_keeps_under_120_bytes_per_state():
+    # a kept state holds one int, its match cost and two flags, and its
+    # child's key is rebuilt from its own; a 3-tuple per state took over 150 B
+    S, L = indexed_pair(*generate_instance(
+        GeneratorSpec(d=4, n=200, m=300, profile="balanced-g", seed=0)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = distance_with_script(S, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.memo_entries > 5000
+    assert peak < 120 * result.memo_entries, peak / result.memo_entries
+
+
 def _solves(source, target):
     # (distance, script, memo entries) of a distance-only and a script solve
     return [(result.distance, result.script, result.memo_entries)

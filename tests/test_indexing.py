@@ -1,15 +1,25 @@
+import random
+import sys
+import threading
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from swapinsert import (
+    AlphabetMap,
     AlphabetTooLarge,
     UnknownSymbol,
     build_alphabet,
+    correction_distance,
     count,
+    distance,
+    distance_with_script,
     index_string,
     rank,
     select,
 )
+from swapinsert import engine
 
 texts = st.text(alphabet="abc", max_size=16)
 
@@ -125,6 +135,78 @@ def test_index_holds_one_position_per_symbol():
         assert len(indexed.select_table) == amap.d
         assert sum(len(occ) for occ in indexed.select_table) == len(raw)
     assert not hasattr(indexed, "rank_table")
+
+
+def _eager_table(codes, d):
+    return [[pos for pos, code in enumerate(codes, 1) if code == a] for a in range(1, d + 1)]
+
+
+def test_lazy_table_and_counts_match_eager_references():
+    # the table built on first read is the per-code scan's, and the counts
+    # taken at construction are Counter's, for alphabets of 1 to 1000 codes
+    rng = random.Random(404)
+    cases = [((), 3), ((1, 300), 300)]
+    for d in (1, 2, 3, 7, 64, 300, 1000):
+        for n in (1, 5, 50, 2000):
+            cases.append((tuple(rng.randint(1, d) for _ in range(n)), d))
+    for codes, d in cases:
+        indexed = index_string(codes, AlphabetMap(range(1, d + 1)))
+        tally = Counter(codes)
+        assert indexed.per_symbol_count == [tally[a] for a in range(1, d + 1)]
+        assert indexed.select_table == _eager_table(codes, d)
+        # built once, then read from the cache
+        assert indexed.select_table is indexed.select_table
+
+
+def test_threads_reading_a_fresh_table_all_get_an_equal_one():
+    # first reads race to build the table; each thread may build its own,
+    # but every one is equal to the eager table, whichever is kept
+    rng = random.Random(7)
+    codes = tuple(rng.randint(1, 50) for _ in range(20_000))
+    expected = _eager_table(codes, 50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            indexed = index_string(codes, AlphabetMap(range(1, 51)))
+            seen = []
+            threads = [threading.Thread(target=lambda: seen.append(indexed.select_table))
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(seen) == 8
+            assert all(table == expected for table in seen)
+            assert indexed.select_table == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solves_never_build_the_targets_table(monkeypatch):
+    # a solve reads only the source's occurrence lists, so the target's
+    # table stays unbuilt; covers the walk (s = 0), the sweep with and
+    # without a script, and an infeasible pair
+    built = []
+    index = engine.index_string
+
+    def recorded(raw, alphabet):
+        indexed = index(raw, alphabet)
+        built.append(indexed)
+        return indexed
+    monkeypatch.setattr(engine, "index_string", recorded)
+    for source, target in (("bba", "abb"), ("ba", "aab"), ("cab", "abcabc"), ("aab", "ab")):
+        for with_script in (False, True):
+            built.clear()
+            correction_distance(source, target, with_script=with_script)
+            source_index, target_index = built
+            assert target_index._select_table is None, (source, target)
+        amap = build_alphabet(source, target)
+        S, L = index_string(source, amap), index_string(target, amap)
+        if distance(S, L).distance.is_finite:
+            distance_with_script(S, L)
+        assert L._select_table is None, (source, target)
 
 
 # -- properties -------------------------------------------------------------
