@@ -25,12 +25,7 @@ from .engine import (  # noqa: F401
     weighted_distance,
 )
 from .indexing import build_alphabet, index_string  # noqa: F401
-from .oracles import (
-    DEFAULT_STATE_BUDGET,
-    InstanceTooLarge,
-    matching_distance,
-    ucs_distance,
-)
+from .oracles import DEFAULT_BUDGET, InstanceTooLarge, matching_distance, ucs_distance
 from .scripts import Delete, Insert, Swap
 from .toolkit import (
     GeneratorSpec,
@@ -346,8 +341,7 @@ def _cmd_selftest(args, parser) -> int:
             max_n=args.max_n,
             max_m=args.max_m,
             alphabet_size=args.alphabet,
-            state_budget=args.budget,
-            combination_budget=args.budget,
+            budget=args.budget,
         )
     except InstanceTooLarge as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="compare the engine against both oracles")
     _add_input_arguments(oracle)
     oracle.add_argument("--json", action="store_true")
-    oracle.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET,
+    oracle.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                         help="search/enumeration budget for the oracles")
     oracle.add_argument("--c-ins", type=_fraction, default=Fraction(1))
     oracle.add_argument("--c-swap", type=_fraction, default=Fraction(1))
@@ -421,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--max-n", type=int, default=4)
     selftest.add_argument("--max-m", type=int, default=6)
     selftest.add_argument("--alphabet", type=int, default=2)
-    selftest.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET)
+    selftest.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     selftest.set_defaults(handler=_cmd_selftest, parser=selftest)
 
     return parser

@@ -32,20 +32,19 @@ The sweep is a branch and bound (Land & Doig 1960).  A state's cost plus
 its remaining inserts, (m - n) minus the inserts made so far, is its
 swaps plus m - n: it never falls along a move and never exceeds the
 cost of a full path through the state, an admissible estimate in the
-sense of A* (Hart, Nilsson & Raphael 1968).  A solve runs up to three
-passes of the one sweep:
+sense of A* (Hart, Nilsson & Raphael 1968).  A solve runs the one sweep
+in up to three passes and stops at the first that cuts no layer, whose
+value is exact:
 
 1. a beam that keeps the ``_BEAM`` (64) cheapest states of each layer
-   by cost.  When it never has to cut a layer it was the unpruned
-   sweep, its value is exact and the solve ends; a pair whose box holds
+   by cost.  Uncut, it was the unpruned sweep; a pair whose box holds
    at most 64 states is always such a pair.  From its first cut on it
    keeps only ``_BEAM // 8`` (at least 1) states per layer, since its
    value U1, the cost of a real path, serves only as a bound;
 2. a ``_BEAM``-wide beam that drops every match whose child's estimate
-   exceeds U1.  When it cuts no layer it was the sweep bounded by U1, and its
-   value is exact; a cut one may end with no state, value inf;
-3. if the second pass cut, a sweep bounded by the smaller of the two
-   values, with no beam.
+   exceeds U1.  Uncut, it was the sweep bounded by U1; a cut one may
+   end with no state, value inf;
+3. a sweep bounded by the smaller of the two values, with no beam.
 
 A bounded pass never drops a state of an optimal path and keeps their
 costs exact, so distances and scripts are those of the unpruned sweep,
@@ -70,7 +69,7 @@ indexes' per-symbol counts, picks the solver, and is returned as
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from math import inf
+from math import inf, prod
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,8 +78,7 @@ from .indexing import AlphabetMap, IndexedString, build_alphabet, index_string
 from .scripts import Delete, Insert, Script, Swap
 
 
-# States per layer that the beam passes keep, an eighth of it once the
-# unbounded beam has cut; inf turns the beams and the bounds off everywhere.
+# The beams' width; inf turns the beams and the bounds off everywhere.
 _BEAM = 64
 
 
@@ -98,20 +96,14 @@ def memo_bound(n: int, g_by_code: Sequence[int], m_by_code: Sequence[int]) -> in
     without a memo.
     """
     positives = sorted(g for g in g_by_code if g > 0)
-    s = len(positives)
-    if s == 0:
+    if not positives:
         return 0
     d = len(g_by_code)
     span = 1 + sum(m - g for g, m in zip(g_by_code, m_by_code))
-    if s == d:
-        prod = 1
-        for g in positives[1:]:
-            prod *= g + 1
-        return d * (n + 1) * span * prod
-    prod = 1
-    for g in positives:
-        prod *= g + 1
-    return (n + 1) * span * prod
+    # with every code imbalanced, d choices of the one smallest-imbalance
+    # code left out of the product
+    full = len(positives) == d
+    return (d if full else 1) * (n + 1) * span * prod(g + 1 for g in positives[full:])
 
 
 @dataclass(frozen=True)
@@ -210,11 +202,8 @@ class EngineResult:
 class _Computation:
     """Single-use solve of one feasible pair; owns its layers exclusively.
 
-    ``stats`` picks the solver: a pair with no imbalanced code runs only
-    the forward walk and builds no layer, any other runs the up to three
-    passes of the sweep that the module docstring describes.  The last
-    pass retains its layers only for a script, which the walk then
-    writes along one of its optimal paths:
+    The last pass retains its layers only for a script, which the walk
+    then writes along one of its optimal paths:
     ``layers[q]`` maps each state of layer q that the bound let through,
     keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
     distance-only sweep holds one live layer at a time and leaves
@@ -461,10 +450,6 @@ class _Computation:
         on a pair with no imbalanced symbol the walk is the whole solve,
         otherwise it runs after a sweep that keeps every layer and follows
         their values.  Without ``ops`` the sweep keeps only its live layer.
-        The first pass is a beam; each pass that cuts a layer is followed
-        by one bounded by the least value so far, a ``_BEAM``-wide beam
-        after the first and a sweep with no beam after the second; the
-        first pass that cuts nothing settles the distance.
         Target positions are produced left to right; matching the source
         occurrence at position r becomes an immediate run of adjacent
         swaps walking it down to the boundary.
@@ -472,12 +457,13 @@ class _Computation:
         if self.stats.s == 0:
             return self._walk(ops)
         keep = ops is not None
-        # a beam's value is the cost of a real path; uncut, it is exact
-        value = self._sweep(keep, width=_BEAM)
-        if self.cut:
-            value = min(value, self._sweep(keep, width=_BEAM, bound=value))
-            if self.cut:
-                value = self._sweep(keep, bound=value)
+        value = inf
+        for width in (_BEAM, _BEAM, inf):
+            # a cut pass's value is the cost of a real path, or inf, and
+            # bounds the next; an uncut one is exact
+            value = min(value, self._sweep(keep, width, value))
+            if not self.cut:
+                break
         if keep:
             self._walk(ops)
         return value
@@ -544,14 +530,9 @@ def weighted_distance(source: IndexedString, target: IndexedString,
     return distance(source, target).weighted_cost(c_ins, c_swap)
 
 
-def swap_delete_distance(long_string: IndexedString, short_string: IndexedString) -> EngineResult:
-    """Distance from ``long_string`` to ``short_string`` with deletes and swaps.
-
-    Mirrors the insert-based computation in the opposite direction: the
-    reconstructed script is reversed, and every insertion is undone as a
-    deletion at the same position.
-    """
-    result = _run(short_string, long_string, with_script=True)
+def _mirrored(result: EngineResult) -> EngineResult:
+    # the insert-based script reversed, each insertion undone as a deletion
+    # at the same position
     if result.script is None:
         return result
     mirrored = tuple(
@@ -559,6 +540,16 @@ def swap_delete_distance(long_string: IndexedString, short_string: IndexedString
         for op in reversed(result.script.ops)
     )
     return replace(result, script=Script(mirrored))
+
+
+def swap_delete_distance(long_string: IndexedString, short_string: IndexedString) -> EngineResult:
+    """Distance from ``long_string`` to ``short_string`` with deletes and swaps.
+
+    Mirrors the insert-based computation in the opposite direction: the
+    reconstructed script is reversed, and every insertion is undone as a
+    deletion at the same position.
+    """
+    return _mirrored(_run(short_string, long_string, with_script=True))
 
 
 def correction_distance(source: Sequence, target: Sequence,
@@ -578,8 +569,4 @@ def correction_distance(source: Sequence, target: Sequence,
 
 def swap_delete_correction(source: Sequence, target: Sequence) -> EngineResult:
     """Swap-delete distance between raw strings (source is the longer side)."""
-    alphabet = build_alphabet(target, source)
-    return swap_delete_distance(
-        index_string(source, alphabet),
-        index_string(target, alphabet),
-    )
+    return _mirrored(correction_distance(target, source, with_script=True))

@@ -14,8 +14,8 @@ from typing import Optional, Sequence, Tuple
 
 from .cost import Cost
 
-DEFAULT_STATE_BUDGET = 10_000_000
-DEFAULT_COMBINATION_BUDGET = 1_000_000
+# states searched or combinations enumerated before InstanceTooLarge
+DEFAULT_BUDGET = 1_000_000
 
 
 class InstanceTooLarge(ValueError):
@@ -26,7 +26,7 @@ def ucs_distance(
     source: Sequence,
     target: Sequence,
     weights: Optional[Tuple] = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
+    state_budget: int = DEFAULT_BUDGET,
 ) -> Cost:
     """Exact minimum correction cost by uniform-cost search over strings.
 
@@ -95,7 +95,7 @@ def _crossings(mapped: Sequence[int]) -> int:
 def matching_distance(
     source: Sequence,
     target: Sequence,
-    combination_budget: int = DEFAULT_COMBINATION_BUDGET,
+    combination_budget: int = DEFAULT_BUDGET,
 ) -> Cost:
     """Exact distance via minimum-crossing injective matchings.
 

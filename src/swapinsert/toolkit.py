@@ -21,12 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .engine import InstanceStats, correction_distance
 from .indexing import build_alphabet, index_string
-from .oracles import (
-    DEFAULT_COMBINATION_BUDGET,
-    DEFAULT_STATE_BUDGET,
-    matching_distance,
-    ucs_distance,
-)
+from .oracles import DEFAULT_BUDGET, matching_distance, ucs_distance
 from .scripts import verify_script
 
 
@@ -156,9 +151,8 @@ def _profile_counts(rng: random.Random, spec: GeneratorSpec) -> Tuple[List[int],
             n_counts.append(0 if mode == "absent" else mc if mode == "full" else mc // 2)
         _nudge_counts(rng, n_counts, m_counts, n, maximize_g=False)
         return n_counts, m_counts
-    if spec.profile == "custom":
-        return _custom_counts(rng, spec)
-    raise InfeasibleProfile(f"unknown profile {spec.profile!r}")
+    # generate_instance admits only PROFILES, so this is "custom"
+    return _custom_counts(rng, spec)
 
 
 def _custom_counts(rng: random.Random, spec: GeneratorSpec) -> Tuple[List[int], List[int]]:
@@ -389,8 +383,7 @@ def exhaustive_oracle_check(
     max_n: int = 4,
     max_m: int = 6,
     alphabet_size: int = 2,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    combination_budget: int = DEFAULT_COMBINATION_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> EquivalenceReport:
     """Compare the engine against both oracles on every small pair.
 
@@ -414,9 +407,8 @@ def exhaustive_oracle_check(
             result = correction_distance(source, target, with_script=True)
             # the distance-only solve holds one live layer, a pass of its own
             live = correction_distance(source, target)
-            ucs = ucs_distance(source, target, state_budget=state_budget)
-            matching = matching_distance(source, target,
-                                         combination_budget=combination_budget)
+            ucs = ucs_distance(source, target, state_budget=budget)
+            matching = matching_distance(source, target, combination_budget=budget)
             split = (live.distance, live.memo_entries) != (result.distance, result.memo_entries)
             if split or not result.distance == ucs == matching:
                 engine = repr(result.distance)

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from swapinsert import apply_script, correction_distance, Insert, Script, Swap, Delete
-from swapinsert.cli import main
+from swapinsert.cli import build_parser, main
+from swapinsert.oracles import DEFAULT_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +310,13 @@ def test_oracle_budget_exit_3(capsys):
                            "--budget", "5")
     assert code == 3
     assert "too large" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "selftest"])
+def test_budget_defaults_to_the_oracles_one_budget(command):
+    parser = build_parser()
+    argv = [command, "ab", "ba"] if command == "oracle" else [command]
+    assert parser.parse_args(argv).budget == DEFAULT_BUDGET
 
 
 @pytest.mark.parametrize("argv", [

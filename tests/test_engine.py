@@ -10,6 +10,7 @@ import pytest
 
 from swapinsert import (
     Cost,
+    Delete,
     Insert,
     InstanceStats,
     Script,
@@ -27,6 +28,7 @@ from swapinsert import (
     matching_distance,
     memo_bound,
     swap_delete_correction,
+    swap_delete_distance,
     ucs_distance,
     weighted_distance,
 )
@@ -301,6 +303,39 @@ def test_memo_bound_formula():
     # s < d: no leading d factor, product over the positive imbalances
     assert memo_bound(2, (1, 0), (2, 1)) == 3 * (1 + 1 + 1) * 2
     assert memo_bound(5, (0, 0), (3, 3)) == 0
+
+
+def _two_branch_memo_bound(n, g_by_code, m_by_code):
+    # the bound as written before its one-product form, kept as the reference
+    positives = sorted(g for g in g_by_code if g > 0)
+    s = len(positives)
+    if s == 0:
+        return 0
+    d = len(g_by_code)
+    span = 1 + sum(m - g for g, m in zip(g_by_code, m_by_code))
+    if s == d:
+        prod = 1
+        for g in positives[1:]:
+            prod *= g + 1
+        return d * (n + 1) * span * prod
+    prod = 1
+    for g in positives:
+        prod *= g + 1
+    return (n + 1) * span * prod
+
+
+def test_memo_bound_matches_the_two_branch_formula(rng):
+    shapes = set()
+    for _ in range(3000):
+        d = rng.randint(1, 7)
+        m_by_code = [rng.randint(0, 12) for _ in range(d)]
+        g_by_code = [rng.randint(0, m // 2) if rng.random() < 0.7 else 0 for m in m_by_code]
+        n = sum(m_by_code) - sum(g_by_code)
+        s = sum(g > 0 for g in g_by_code)
+        shapes.add("none" if s == 0 else "all" if s == d else "some")
+        assert memo_bound(n, g_by_code, m_by_code) == \
+            _two_branch_memo_bound(n, g_by_code, m_by_code), (n, g_by_code, m_by_code)
+    assert shapes == {"none", "some", "all"}
 
 
 # -- scripts ------------------------------------------------------------------
@@ -670,6 +705,31 @@ def test_bounded_beam_stays_wide_on_a_five_symbol_pair():
     assert result.memo_entries < 100_000
 
 
+@pytest.mark.parametrize("d, passes", [
+    (4, [(64, False, True, 2652, 154), (64, True, True, 6093, 154),
+         (inf, True, False, 6235, 154)]),
+    (5, [(64, False, True, 2787, 289), (64, True, True, 17747, 144),
+         (inf, True, False, 46080, 144)]),
+])
+@pytest.mark.parametrize("with_script", [False, True])
+def test_solve_pass_sequence_on_hard_pairs(monkeypatch, d, passes, with_script):
+    # each pass as (width, bounded, cut, priced, value): an unbounded beam
+    # that narrows after its first cut, a 64-wide beam bounded by its
+    # value, then the unbeamed bounded sweep, which cuts nothing
+    sweep = _Computation._sweep
+    calls = []
+
+    def recorded(self, keep=True, width=inf, bound=inf):
+        value = sweep(self, keep, width, bound)
+        calls.append((width, bound < inf, self.cut, self.priced, value))
+        return value
+    monkeypatch.setattr(_Computation, "_sweep", recorded)
+    source, target = generate_instance(
+        GeneratorSpec(d=d, n=200, m=300, profile="balanced-g", seed=0))
+    correction_distance(source, target, with_script=with_script)
+    assert calls == passes
+
+
 def test_narrow_first_beam_prices_few_states_on_memo_specs(monkeypatch):
     # every pass of a distance-only solve over the benchmark's memo specs:
     # a beam kept 64 wide to the end prices 59,160 states, one that
@@ -857,6 +917,25 @@ def test_swap_delete_script_replays():
     assert apply_script("aab", result.script) == "ba"
     assert result.script.delete_count == 1
     assert result.script.insert_count == 0
+
+
+def test_swap_delete_is_the_mirrored_insert_solve(rng):
+    # the reversed insert script, each Insert(p, _) turned into Delete(p)
+    for _ in range(300):
+        source, target = random_pair(rng, max_d=4)
+        result = swap_delete_correction(source, target)
+        forward = correction_distance(target, source, with_script=True)
+        assert (result.distance, result.memo_entries, result.stats) == \
+            (forward.distance, forward.memo_entries, forward.stats)
+        if forward.script is None:
+            assert result.script is None
+        else:
+            assert result.script.ops == tuple(
+                Delete(op.position) if isinstance(op, Insert) else op
+                for op in reversed(forward.script.ops))
+        amap = build_alphabet(target, source)
+        assert swap_delete_distance(index_string(source, amap),
+                                    index_string(target, amap)) == result
 
 
 def test_swap_delete_matches_forward_distance(rng):

@@ -15,8 +15,10 @@ from swapinsert import (
     generate_instance,
     instance_stats,
     run_bench,
+    toolkit,
 )
 from swapinsert.engine import _Computation
+from swapinsert.oracles import DEFAULT_BUDGET
 from swapinsert.toolkit import CSV_COLUMNS
 
 
@@ -275,6 +277,25 @@ def test_memo_entries_nondecreasing_in_state_bound():
 def test_exhaustive_check_rejects_bounds_it_cannot_honour(kwargs):
     with pytest.raises(ValueError):
         exhaustive_oracle_check(**{"max_n": 1, "max_m": 1, **kwargs})
+
+
+def test_exhaustive_check_passes_one_budget_to_both_oracles(monkeypatch):
+    budgets = []
+
+    def ucs(source, target, state_budget):
+        budgets.append(("ucs", state_budget))
+        return correction_distance(source, target).distance
+
+    def matching(source, target, combination_budget):
+        budgets.append(("matching", combination_budget))
+        return correction_distance(source, target).distance
+    monkeypatch.setattr(toolkit, "ucs_distance", ucs)
+    monkeypatch.setattr(toolkit, "matching_distance", matching)
+    assert exhaustive_oracle_check(max_n=1, max_m=1, budget=7).ok
+    assert budgets and set(budgets) == {("ucs", 7), ("matching", 7)}
+    budgets.clear()
+    assert exhaustive_oracle_check(max_n=0, max_m=0).ok
+    assert set(budgets) == {("ucs", DEFAULT_BUDGET), ("matching", DEFAULT_BUDGET)}
 
 
 def test_exhaustive_check_accepts_the_whole_symbol_pool():
