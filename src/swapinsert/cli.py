@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -108,42 +109,44 @@ def _decode(data: bytes, name: str) -> str:
         raise _InputError(f"{name}: {exc}") from None
 
 
-def _read_file(path: str, as_bytes: bool):
+def _read_file(path: str) -> bytes:
     # one trailing line end is stripped
     with open(path, "rb") as handle:
         data = handle.read()
     if data.endswith(b"\n"):
         data = data[:-2] if data.endswith(b"\r\n") else data[:-1]
-    return data if as_bytes else _decode(data, path)
+    return data
 
 
-def _stdin_lines(data):
+def _stdin_lines(data: bytes) -> List[bytes]:
     # a line ends only at "\n", and one "\r" before it is dropped, the rule
-    # _read_file applies; splitlines() would also split at "\x0c", "\x85",
-    # a lone "\r" and more, all of which are symbols here
-    lines = re.split("\r?\n" if isinstance(data, str) else b"\r?\n", data)
+    # _read_file applies; splitlines() would also split at a lone "\r",
+    # which is a symbol here
+    lines = re.split(b"\r?\n", data)
     if not lines[-1]:
         lines.pop()
     return lines
 
 
 def _resolve_inputs(args, parser: argparse.ArgumentParser):
+    # every input is read as bytes; os.fsencode recovers the bytes behind
+    # a positional argument under any locale
     if args.stdin:
         if args.source is not None or args.target is not None:
             parser.error("--stdin takes no positional strings")
-        data = sys.stdin.buffer.read()
-        lines = _stdin_lines(data if args.as_bytes else _decode(data, "<stdin>"))
+        lines = _stdin_lines(sys.stdin.buffer.read())
         if len(lines) < 2:
             parser.error("expected two input lines on stdin")
-        return lines[0], lines[1]
-    if args.source is None or args.target is None:
+        pair, names = lines[:2], ("<stdin>", "<stdin>")
+    elif args.source is None or args.target is None:
         parser.error("two input strings are required")
-    if args.files:
-        return (_read_file(args.source, args.as_bytes),
-                _read_file(args.target, args.as_bytes))
-    if args.as_bytes:
-        return args.source.encode("utf-8"), args.target.encode("utf-8")
-    return args.source, args.target
+    elif args.files:
+        pair = [_read_file(args.source), _read_file(args.target)]
+        names = (args.source, args.target)
+    else:
+        pair = [os.fsencode(args.source), os.fsencode(args.target)]
+        names = ("source argument", "target argument")
+    return pair if args.as_bytes else list(map(_decode, pair, names))
 
 
 def _echo(value) -> object:

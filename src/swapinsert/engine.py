@@ -21,9 +21,9 @@ bisects per step.  Any other pair first runs a sweep over target
 positions whose key is the k_a of the imbalanced codes only: a balanced
 code's count is fixed by q, and its matched positions sit in one Fenwick
 tree the layer's states share.  A layer lies in a box of the product of
-(g_a + 1) states, ``InstanceStats.layer_bound``, so the states of all
-m + 1 layers stay within m + 1 boxes and within the paper's adaptive
-bound ``memo_bound``; the engine checks both on every solve.  Each state
+(g_a + 1) states, ``InstanceStats.layer_bound``, which the sweep checks
+for each layer it builds, and the states priced stay within the paper's
+adaptive bound ``memo_bound``, which every solve checks.  Each state
 carries its cost from the start, and its moves relax the next layer's
 states; a distance-only sweep then drops it and holds one live layer, in
 the manner of Hirschberg (1975).
@@ -64,7 +64,9 @@ The pair's difficulty profile (counts, imbalances, memo bound, box) is the
 ``InstanceStats`` defined here.  It is read once per solve off the
 indexes' per-symbol counts, picks the solver, and is returned as
 ``EngineResult.stats``; the weighted cost is arithmetic on the result
-(``EngineResult.weighted_cost``).
+(``EngineResult.weighted_cost``).  A pair that the counts show
+unreachable is settled before any solve, and comes back without a script
+from every entry point.
 """
 
 from bisect import bisect_left, bisect_right
@@ -82,8 +84,13 @@ from .scripts import Delete, Insert, Script, Swap
 _BEAM = 64
 
 
-class ScriptUnavailable(ValueError):
-    """No correction script exists because the distance is unreachable."""
+def _sigma_plus(g_by_code: Sequence[int]) -> Tuple[int, ...]:
+    # the codes of the paper's product: the imbalanced codes, less the
+    # first code of smallest imbalance when every code is imbalanced
+    codes = [a for a, g in enumerate(g_by_code, 1) if g > 0]
+    if codes and len(codes) == len(g_by_code):
+        codes.remove(min(codes, key=lambda a: g_by_code[a - 1]))
+    return tuple(codes)
 
 
 def memo_bound(n: int, g_by_code: Sequence[int], m_by_code: Sequence[int]) -> int:
@@ -95,15 +102,14 @@ def memo_bound(n: int, g_by_code: Sequence[int], m_by_code: Sequence[int]) -> in
     Zero when no symbol is imbalanced: such instances are evaluated
     without a memo.
     """
-    positives = sorted(g for g in g_by_code if g > 0)
-    if not positives:
+    imbalanced = sum(g > 0 for g in g_by_code)
+    if not imbalanced:
         return 0
-    d = len(g_by_code)
+    sigma_plus = _sigma_plus(g_by_code)
     span = 1 + sum(m - g for g, m in zip(g_by_code, m_by_code))
-    # with every code imbalanced, d choices of the one smallest-imbalance
-    # code left out of the product
-    full = len(positives) == d
-    return (d if full else 1) * (n + 1) * span * prod(g + 1 for g in positives[full:])
+    # the code left out of the product may be any of the d
+    choices = len(g_by_code) if len(sigma_plus) < imbalanced else 1
+    return choices * (n + 1) * span * prod(g_by_code[a - 1] + 1 for a in sigma_plus)
 
 
 @dataclass(frozen=True)
@@ -134,17 +140,7 @@ class InstanceStats:
         m_counts = tuple(target.per_symbol_count)
         g_per_symbol = tuple(min(na, ma - na) for na, ma in zip(n_counts, m_counts))
         # a sweep layer lies in a box of one matched count per imbalanced code
-        s, layer_bound = 0, 1
-        for g in g_per_symbol:
-            if g > 0:
-                s += 1
-                layer_bound *= g + 1
-        if d and s == d:
-            # every code contributes, except one smallest-imbalance code
-            dropped = min(range(1, d + 1), key=lambda a: (g_per_symbol[a - 1], a))
-            sigma_plus = tuple(a for a in range(1, d + 1) if a != dropped)
-        else:
-            sigma_plus = tuple(a for a in range(1, d + 1) if g_per_symbol[a - 1] > 0)
+        positive = [g for g in g_per_symbol if g > 0]
         return cls(
             n=len(source),
             m=len(target),
@@ -153,10 +149,10 @@ class InstanceStats:
             m_counts=m_counts,
             g_per_symbol=g_per_symbol,
             g=max(g_per_symbol, default=0),
-            sigma_plus=sigma_plus,
-            s=s,
+            sigma_plus=_sigma_plus(g_per_symbol),
+            s=len(positive),
             predicted_state_bound=memo_bound(len(source), g_per_symbol, m_counts),
-            layer_bound=layer_bound,
+            layer_bound=prod(g + 1 for g in positive),
             feasible=all(na <= ma for na, ma in zip(n_counts, m_counts)),
             alphabet=source.alphabet,
         )
@@ -169,13 +165,13 @@ class EngineResult:
     ``memo_entries`` counts the states the solve's last pass priced: every
     reachable state when the first beam cut no layer, otherwise those of
     the bounded pass that settled the value.  It is the same with and
-    without a script, never larger than
-    the unpruned sweep's count, 0 for a pair with no imbalanced symbol
-    and for an infeasible pair, and never exceeds
-    ``stats.predicted_state_bound`` or m + 1 boxes of ``stats.layer_bound``
-    states.  ``stats`` is the pair's difficulty profile, set on every
-    result.  ``script`` is one optimal correction script when one was
-    asked for and the distance is finite.
+    without a script, never larger than the unpruned sweep's count, 0 for
+    a pair with no imbalanced symbol and for an infeasible pair, and never
+    exceeds ``stats.predicted_state_bound``; no layer of a sweep holds
+    more than ``stats.layer_bound`` states.  ``stats`` is the pair's
+    difficulty profile, set on every result.  ``script`` is one optimal
+    correction script when one was asked for and the distance is finite:
+    an unreachable pair comes back without one from every entry point.
     """
 
     distance: Cost
@@ -246,9 +242,11 @@ class _Computation:
         # bound let it through, and whether b may be inserted, keeping
         # the key; a terminal state holds q - m - 1 < 0.  The backward
         # pass rebuilds each match child from the key and overwrites every
-        # entry with its cost-to-go for the walk.
+        # entry with its cost-to-go for the walk.  A layer of more states
+        # than its box, ``stats.layer_bound``, is an internal error.
         # Positions are 1-based, lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
+        box = self.stats.layer_bound
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
         imbalanced = self.imbalanced
@@ -325,6 +323,9 @@ class _Computation:
                     at += at & -at
                 rest -= 1
             before_l[b] += 1
+            if len(following) > box:
+                raise RuntimeError(f"internal error: layer {q + 1} holds "
+                                   f"{len(following)} states, over its box of {box}")
             if len(following) > width:
                 following = dict(sorted(following.items(), key=itemgetter(1))[:width])
                 if not (self.cut or bounded):
@@ -483,11 +484,6 @@ def _run(source: IndexedString, target: IndexedString, with_script: bool) -> Eng
         raise RuntimeError(
             f"internal error: {entries} memo entries exceed the bound {bound}"
         )
-    box = (stats.m + 1) * stats.layer_bound
-    if entries > box:
-        raise RuntimeError(
-            f"internal error: {entries} memo entries exceed the box bound {box}"
-        )
     script = None
     if with_script:
         script = Script(tuple(ops))
@@ -513,11 +509,11 @@ def distance(source: IndexedString, target: IndexedString) -> EngineResult:
 
 
 def distance_with_script(source: IndexedString, target: IndexedString) -> EngineResult:
-    """Like distance(), but also reconstructs one optimal correction script."""
-    result = _run(source, target, with_script=True)
-    if result.script is None:
-        raise ScriptUnavailable("the distance is unreachable, no script exists")
-    return result
+    """Like distance(), but also reconstructs one optimal correction script.
+
+    An unreachable pair comes back without one, as from every entry point.
+    """
+    return _run(source, target, with_script=True)
 
 
 def weighted_distance(source: IndexedString, target: IndexedString,
@@ -557,7 +553,7 @@ def correction_distance(source: Sequence, target: Sequence,
     """Distance between raw strings; builds the alphabet map and indexes.
 
     With ``with_script`` the script is included whenever the distance is
-    finite (an unreachable pair simply comes back without one).
+    finite.
     """
     alphabet = build_alphabet(source, target)
     return _run(

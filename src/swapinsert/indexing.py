@@ -128,22 +128,24 @@ def index_string(raw: Sequence, alphabet: AlphabetMap) -> IndexedString:
     return IndexedString(alphabet.encode(raw), alphabet)
 
 
+def _occurrences(indexed: IndexedString, code: int) -> List[int]:
+    if not 1 <= code <= indexed.alphabet.d:
+        raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
+    return indexed.select_table[code - 1]
+
+
 def rank(indexed: IndexedString, i: int, code: int) -> int:
     """Number of occurrences of ``code`` in the length-``i`` prefix."""
     if not 0 <= i <= len(indexed.symbols):
         raise ValueError(f"prefix length {i} outside [0..{len(indexed.symbols)}]")
-    if not 1 <= code <= indexed.alphabet.d:
-        raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
-    return bisect_right(indexed.select_table[code - 1], i)
+    return bisect_right(_occurrences(indexed, code), i)
 
 
 def select(indexed: IndexedString, k: int, code: int) -> Optional[int]:
     """Position of the k-th occurrence of ``code``, or None if there is none."""
     if k < 1:
         raise ValueError(f"occurrence index {k} must be at least 1")
-    if not 1 <= code <= indexed.alphabet.d:
-        raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
-    occurrences = indexed.select_table[code - 1]
+    occurrences = _occurrences(indexed, code)
     if k > len(occurrences):
         return None
     return occurrences[k - 1]
@@ -153,7 +155,5 @@ def count(indexed: IndexedString, i: int, code: int) -> int:
     """Number of occurrences of ``code`` in the suffix starting at position ``i``."""
     if not 1 <= i <= len(indexed.symbols) + 1:
         raise ValueError(f"suffix start {i} outside [1..{len(indexed.symbols) + 1}]")
-    if not 1 <= code <= indexed.alphabet.d:
-        raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
-    occurrences = indexed.select_table[code - 1]
+    occurrences = _occurrences(indexed, code)
     return len(occurrences) - bisect_left(occurrences, i)

@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +286,28 @@ def test_dist_bytes_mode(capsys):
     assert report["distance"] == 2
 
 
+def test_positional_bytes_that_are_not_utf8_pass_in_bytes_mode(capsys):
+    # Python hands a byte that is not UTF-8 in argv over as a surrogate
+    # escape; --bytes reads the byte the shell passed
+    code, out, _ = run_cli(capsys, "dist", "--bytes", "\udcff", "\udcffa", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["source"], report["target"]) == ([255], [255, 97])
+    assert report["distance"] == 1
+
+
+def test_positional_text_that_is_not_utf8_is_an_input_error(capsys):
+    # decoded as strict UTF-8 like --files and --stdin
+    code, out, err = run_cli(capsys, "dist", "\udcff", "\udcffa")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: source argument: ")
+    assert "can't decode byte 0xff" in err
+    code, _, err = run_cli(capsys, "stats", "a", "a\udcff", "--json")
+    assert code == 1
+    assert err.startswith("error: target argument: ")
+
+
 def test_exit_code_independent_of_format(capsys):
     plain = main(["dist", "aa", "a"])
     capsys.readouterr()
@@ -439,3 +464,55 @@ def test_selftest_budget_overrun_is_not_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "selftest", "--max-n", "1", "--max-m", "1", "--budget", "1")
     assert code == 3
     assert "instance too large" in err
+
+
+# -- a committed sweep -----------------------------------------------------------
+
+CLI_SWEEP = Path(__file__).parent / "data" / "cli_sweep.txt"
+
+
+def _cli_sweep_argvs():
+    # 300 seeded dist, stats and oracle argvs over strings of at most 6
+    # symbols and 4 letters, so that every oracle search stays small; a
+    # swap-delete dist takes the longer string first, and one pair in five
+    # is drawn freely, so that some are unreachable
+    rng = random.Random(2016)
+    for _ in range(300):
+        command = rng.choice(("dist", "dist", "dist", "stats", "oracle"))
+        as_bytes = rng.random() < 0.25
+        letters = rng.choice(("ab", "abc", "abcd") + (() if as_bytes else ("aé€ß",)))
+        target = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.2:
+            source = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        else:
+            source = rng.sample(target, rng.randint(0, len(target)))
+        argv = [command, "".join(source), "".join(target)]
+        if command == "dist" and rng.random() < 0.4:
+            argv[1:] = argv[2], argv[1], "--ops", "swap-delete"
+        if command == "dist" and rng.random() < 0.5:
+            argv.append("--script")
+        if rng.random() < 0.5:
+            argv.append("--json")
+        if as_bytes:
+            argv.append("--bytes")
+        if command != "stats" and rng.random() < 0.3:
+            argv += ["--c-ins", rng.choice(("0", "1", "2", "1/2", "3.5")),
+                     "--c-swap", rng.choice(("0", "1", "3", "2/3"))]
+        yield argv
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cli_sweep_matches_committed_outputs(capsys):
+    # one argv per line: the exit code, the SHA-256 of stdout and of
+    # stderr, then the argv as JSON, written from main() at commit
+    # d6ebf1556de142674935f3699e0fcea6bf001d9a; extend it the same way
+    cases = [line.split(" ", 3) for line in CLI_SWEEP.read_text().splitlines()]
+    assert [json.loads(argv) for *_, argv in cases] == list(_cli_sweep_argvs())
+    for code, out, err, argv in cases:
+        result = main(json.loads(argv))
+        captured = capsys.readouterr()
+        assert [str(result), _digest(captured.out), _digest(captured.err)] == [
+            code, out, err], argv

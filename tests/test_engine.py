@@ -14,7 +14,6 @@ from swapinsert import (
     Insert,
     InstanceStats,
     Script,
-    ScriptUnavailable,
     Swap,
     apply_script,
     build_alphabet,
@@ -361,8 +360,14 @@ def test_pure_insert_script():
 
 
 def test_script_unavailable_when_unreachable():
-    with pytest.raises(ScriptUnavailable):
-        distance_with_script(*indexed_pair("aa", "a"))
+    # every entry point returns an unreachable pair without a script
+    results = [distance_with_script(*indexed_pair("aa", "a")),
+               swap_delete_distance(*indexed_pair("a", "aa")),
+               correction_distance("aa", "a", with_script=True),
+               swap_delete_correction("a", "aa")]
+    for result in results:
+        assert (result.distance, result.script, result.memo_entries) == (
+            Cost.unreachable(), None, 0)
 
 
 def test_insert_offered_while_free_source_symbols_fall_short():
@@ -758,17 +763,46 @@ def test_box_check_catches_a_layer_that_outgrows_its_box(monkeypatch, unpruned):
     stats = instance_stats(source, target)
     box = (stats.m + 1) * stats.layer_bound
     assert (stats.g_per_symbol, box) == ((1, 1), 84)
+    _uncap_inserts(monkeypatch)
+    assert box < _unboxed_sweep(source, target).priced <= stats.predicted_state_bound
+    with pytest.raises(RuntimeError, match="internal error: layer 4 holds 5 states"):
+        computation(source, target)._sweep(keep=False)
+    with pytest.raises(RuntimeError, match="over its box of 4"):
+        correction_distance(source, target)
+
+
+def _uncap_inserts(monkeypatch):
+    # let every code be inserted at any time
     init = _Computation.__init__
 
     def uncapped(self, *args):
         init(self, *args)
         self.spare = [self.m] * len(self.spare)
     monkeypatch.setattr(_Computation, "__init__", uncapped)
+
+
+def _unboxed_sweep(source, target):
+    # the sweep with a box too large to check anything, keeping its layers
     comp = computation(source, target)
-    comp._sweep(keep=False)
-    assert box < comp.priced <= stats.predicted_state_bound
-    with pytest.raises(RuntimeError, match="box bound"):
-        correction_distance(source, target)
+    comp.stats = dataclasses.replace(comp.stats, layer_bound=10 ** 9)
+    comp._sweep(keep=True)
+    return comp
+
+
+def test_box_check_catches_one_layer_over_its_box_within_m_plus_1_boxes(monkeypatch):
+    # uncapped, this pair's sweep builds one layer of 8 states against a
+    # box of 6, yet prices 49 states in all, within the m + 1 = 10 boxes
+    # of 60: only a check of each layer catches it, here in a script solve
+    source, target = "abbbba", "bbbaaabba"
+    stats = instance_stats(source, target)
+    _uncap_inserts(monkeypatch)
+    unboxed = _unboxed_sweep(source, target)
+    assert (stats.layer_bound, max(map(len, unboxed.layers))) == (6, 8)
+    assert unboxed.priced == 49 < (stats.m + 1) * stats.layer_bound == 60
+    with pytest.raises(RuntimeError, match="internal error: layer 5 holds 8 states"):
+        computation(source, target)._sweep(keep=True)
+    with pytest.raises(RuntimeError, match="over its box of 6"):
+        correction_distance(source, target, with_script=True)
 
 
 @pytest.mark.parametrize("ops", [None, []])
