@@ -20,13 +20,21 @@ source that scatters many codes far from their targets costs up to d
 bisects per step.  Any other pair first runs a sweep over target
 positions whose key is the k_a of the imbalanced codes only: a balanced
 code's count is fixed by q, and its matched positions sit in one Fenwick
-tree the layer's states share.  A layer lies in a box of the product of
-(g_a + 1) states, ``InstanceStats.layer_bound``, which the sweep checks
-for each layer it builds, and the states priced stay within the paper's
-adaptive bound ``memo_bound``, which every solve checks.  Each state
-carries its cost from the start, and its moves relax the next layer's
-states; a distance-only sweep then drops it and holds one live layer, in
-the manner of Hirschberg (1975).
+tree the layer's states share.  A match of b's next free occurrence r
+then costs r - 1, less the tree's matched positions before r, less the
+imbalanced codes' matched counts, plus one for each of their matched
+occurrences that lies past r.  The ranks of r among those codes'
+occurrences are found once per solve, and each imbalanced code keeps
+the tree's part of its match costs by matched count from layer to layer
+until a balanced match changes the tree.  On a layer whose code is
+balanced a state has one move and keeps its key: the match, when the
+code occurs in the source, else the insert.  A layer lies in a box of
+the product of (g_a + 1) states, ``InstanceStats.layer_bound``, which
+the sweep checks for each layer it builds, and the states priced stay
+within the paper's adaptive bound ``memo_bound``, which every solve
+checks.  Each state carries its cost from the start, and its moves relax
+the next layer's states; a distance-only sweep then drops it and holds
+one live layer, in the manner of Hirschberg (1975).
 
 The sweep is a branch and bound (Land & Doig 1960).  A state's cost plus
 its remaining inserts, (m - n) minus the inserts made so far, is its
@@ -195,6 +203,15 @@ class EngineResult:
         return Cost.finite(c_ins * inserts + c_swap * (self.distance.value - inserts))
 
 
+def _matched_before(tree: List[int], at: int) -> int:
+    # the balanced codes' matched positions in [1..at], read off their Fenwick tree
+    matched = 0
+    while at:
+        matched += tree[at]
+        at &= at - 1
+    return matched
+
+
 class _Computation:
     """Single-use solve of one feasible pair; owns its layers exclusively.
 
@@ -220,46 +237,77 @@ class _Computation:
         self.slot = {a: idx for idx, a in enumerate(self.imbalanced)}
         self.select_s = [()] + source.select_table
         self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
+        # (code, k) -> _crossings(code, k), filled on first use and shared
+        # by every pass
+        self.ranks = {}
         self.layers: List[dict] = []
         self.priced = 0  # states the sweep priced
         self.cut = False  # the beam dropped a state
 
+    def _crossings(self, b: int, k: int) -> Tuple[Tuple[int, int], ...]:
+        # (slot of u, R_u) for each imbalanced code u other than b that
+        # occurs after b's k-th occurrence r, R_u of its occurrences lying
+        # before r.  A state with k_u > R_u has matched k_u - R_u u's past
+        # r, and a match of r crosses each
+        found = self.ranks.get((b, k))
+        if found is None:
+            select_s = self.select_s
+            r = select_s[b][k]
+            found = []
+            for u, at in self.slot.items():
+                if u != b:
+                    rank = bisect_left(select_s[u], r)
+                    if rank < len(select_s[u]):
+                        found.append((at, rank))
+            found = self.ranks[b, k] = tuple(found)
+        return found
+
     def _sweep(self, keep: bool = True, width=inf, bound=inf) -> int:
-        # The forward pass visits each layer's states, keyed by the
-        # imbalanced codes' matched counts, and counts them in ``priced``.
-        # A state holds its cost from the start state: its moves relax the
-        # next layer's states, a terminal state folds its inserts into
-        # ``best``, and only the layer in hand is alive.  A match is dropped
-        # when its child's cost plus remaining inserts, which never falls
-        # along a move, exceeds ``bound``; an insert leaves that sum as it
-        # is.  A layer of more than ``width`` states keeps the ``width``
-        # cheapest, sets ``cut`` and stops keeping layers; an unbounded
-        # pass then narrows ``width`` to an eighth, and a cut pass may end
-        # with no state and return inf.  With ``keep`` every layer is kept
-        # in ``layers``, and each state, once relaxed, holds one int:
-        # ``edge << 2 | survived << 1 | can_insert``, the match cost (0
-        # when no match is left), whether the match child exists and the
-        # bound let it through, and whether b may be inserted, keeping
-        # the key; a terminal state holds q - m - 1 < 0.  The backward
-        # pass rebuilds each match child from the key and overwrites every
-        # entry with its cost-to-go for the walk.  A layer of more states
-        # than its box, ``stats.layer_bound``, is an internal error.
+        # The forward pass visits each layer's states, keyed by the imbalanced
+        # codes' matched counts, and counts them in ``priced``.  A state holds
+        # its cost from the start state: its moves relax the next layer's
+        # states, a terminal state folds its inserts into ``best``, and only
+        # the layer in hand is alive.  A match of b's next free occurrence r
+        # costs ``base`` - sum(key) plus its crossings, the k_u - R_u of
+        # ``_crossings``: ``base`` counts the positions before r that no
+        # balanced code matched.  Each imbalanced code caches ``base`` and the
+        # crossings by its matched count from layer to layer; a balanced match
+        # changes the Fenwick tree and clears every cache.  On a layer whose
+        # code b is balanced each state has one move, which keeps its key: the
+        # match when b occurs in the source, where no state is terminal, else
+        # the insert.  A match is dropped when its child's cost plus remaining
+        # inserts, which never falls along a move, exceeds ``bound``; an
+        # insert leaves that sum as it is.  A layer of more than ``width``
+        # states keeps the ``width`` cheapest, sets ``cut`` and stops keeping
+        # layers; an unbounded pass then narrows ``width`` to an eighth, and a
+        # cut pass may end with no state and return inf.  With ``keep`` every
+        # layer is kept in ``layers``, and each state, once relaxed, holds one
+        # int: ``edge << 2 | survived << 1 | can_insert``, the match cost (0
+        # when no match is left), whether the match child exists and the bound
+        # let it through, and whether b may be inserted, keeping the key; a
+        # terminal state holds q - m - 1 < 0.  The backward pass rebuilds each
+        # match child from the key and overwrites every entry with its
+        # cost-to-go for the walk.  A layer of more states than its box,
+        # ``stats.layer_bound``, is an internal error.
         # Positions are 1-based, lists are indexed by code.
         n, m, d = self.n, self.m, self.stats.d
         box = self.stats.layer_bound
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
-        imbalanced = self.imbalanced
+        crossings = self._crossings
         self.cut = False
         tree = [0] * (n + 1)  # Fenwick tree over the balanced codes' matched positions
         before_l = [0] * (d + 1)
         rest = n  # source positions no balanced code has matched
         layers = self.layers
-        start = (0,) * len(imbalanced)
+        start = (0,) * len(slot)
         layer = {start: 0}
         best = inf  # the cheapest terminal state's full cost
         priced = 0
         bounded = bound < inf
+        # per imbalanced code, by slot: matched count k -> ``base`` and the
+        # crossings of its k-th occurrence
+        caches = [{} for _ in slot]
         for q in range(m):
             priced += len(layer)
             if bounded:
@@ -272,56 +320,84 @@ class _Computation:
             b = l_syms[q]
             idx = slot.get(b)
             occurrences = select_s[b]
-            left = len(occurrences)
-            # b may be inserted while its matched count k exceeds this
-            floor = before_l[b] - spare[b]
-            # b's matched count -> (positions before r that no balanced code
-            # matched, rank of r in each imbalanced code), shared by the layer
-            cache = {}
-            for key, value in layer.items():
-                total = sum(key)
-                if total == rest:
-                    # every source position is matched: only inserts remain
-                    if value + m - q < best:
-                        best = value + m - q
-                    if keep:
-                        layer[key] = q - m - 1
-                    continue
-                k = before_l[b] if idx is None else key[idx]
-                edge = None
-                survived = 0
-                if k < left:
-                    found = cache.get(k)
-                    if found is None:
-                        r = occurrences[k]
-                        at, matched = r - 1, 0
-                        while at:
-                            matched += tree[at]
-                            at &= at - 1
-                        found = cache[k] = (r - 1 - matched, [
-                            bisect_left(select_s[u], r) for u in imbalanced])
-                    edge = found[0] - sum(map(min, key, found[1]))
-                    cost = value + edge
-                    if not bounded or cost + total <= limit:
-                        child = key if idx is None else key[:idx] + (k + 1,) + key[idx + 1:]
-                        if following.get(child, inf) > cost:
-                            following[child] = cost
-                        survived = 2
-                # a zero-cost match is forced
-                can_insert = k > floor and edge != 0
-                if can_insert:
-                    cost = value + 1
-                    if following.get(key, inf) > cost:
-                        following[key] = cost
-                if keep:
-                    layer[key] = (edge or 0) << 2 | survived | can_insert
+            k = before_l[b]
             if idx is None and occurrences:
                 # a balanced code present in the source matches its next occurrence
-                at = occurrences[before_l[b]]
-                while at <= n:
-                    tree[at] += 1
-                    at += at & -at
+                r = occurrences[k]
+                base = r - 1 - _matched_before(tree, r - 1)
+                ranks = crossings(b, k)
+                for key, value in layer.items():
+                    total = sum(key)
+                    edge = base - total
+                    for at, rank in ranks:
+                        if key[at] > rank:
+                            edge += key[at] - rank
+                    cost = value + edge
+                    survived = not bounded or cost + total <= limit
+                    if survived:
+                        following[key] = cost
+                    if keep:
+                        layer[key] = edge << 2 | survived << 1
+                while r <= n:
+                    tree[r] += 1
+                    r += r & -r
                 rest -= 1
+                for cache in caches:
+                    cache.clear()
+            elif idx is None:
+                # a code absent from the source is inserted
+                for key, value in layer.items():
+                    if sum(key) == rest:
+                        # every source position is matched: only inserts remain
+                        if value + m - q < best:
+                            best = value + m - q
+                        if keep:
+                            layer[key] = q - m - 1
+                        continue
+                    following[key] = value + 1
+                    if keep:
+                        layer[key] = 1
+            else:
+                left = len(occurrences)
+                # b may be inserted while its matched count k exceeds this
+                floor = k - spare[b]
+                cache = caches[idx]
+                for key, value in layer.items():
+                    total = sum(key)
+                    if total == rest:
+                        # every source position is matched: only inserts remain
+                        if value + m - q < best:
+                            best = value + m - q
+                        if keep:
+                            layer[key] = q - m - 1
+                        continue
+                    k = key[idx]
+                    edge = None
+                    survived = 0
+                    if k < left:
+                        found = cache.get(k)
+                        if found is None:
+                            r = occurrences[k]
+                            found = cache[k] = (r - 1 - _matched_before(tree, r - 1),
+                                                crossings(b, k))
+                        edge = found[0] - total
+                        for at, rank in found[1]:
+                            if key[at] > rank:
+                                edge += key[at] - rank
+                        cost = value + edge
+                        if not bounded or cost + total <= limit:
+                            child = key[:idx] + (k + 1,) + key[idx + 1:]
+                            if following.setdefault(child, cost) > cost:
+                                following[child] = cost
+                            survived = 2
+                    # a zero-cost match is forced
+                    can_insert = k > floor and edge != 0
+                    if can_insert:
+                        cost = value + 1
+                        if following.setdefault(key, cost) > cost:
+                            following[key] = cost
+                    if keep:
+                        layer[key] = (edge or 0) << 2 | survived | can_insert
             before_l[b] += 1
             if len(following) > box:
                 raise RuntimeError(f"internal error: layer {q + 1} holds "

@@ -51,9 +51,7 @@ class AlphabetMap:
             raise UnknownSymbol(f"symbol {symbol!r} has no code") from None
 
     def raw_of(self, code: int):
-        if not 1 <= code <= self.d:
-            raise ValueError(f"code {code} outside [1..{self.d}]")
-        return self.external_symbols[code - 1]
+        return self.external_symbols[_code_index(self, code)]
 
     def encode(self, raw: Sequence) -> Tuple[int, ...]:
         try:
@@ -75,6 +73,13 @@ class AlphabetMap:
 
     def __repr__(self) -> str:
         return f"AlphabetMap(d={self.d})"
+
+
+def _code_index(alphabet: AlphabetMap, code: int) -> int:
+    # the one code-range check of raw_of, rank, select and count
+    if not 1 <= code <= alphabet.d:
+        raise ValueError(f"code {code} outside [1..{alphabet.d}]")
+    return code - 1
 
 
 def build_alphabet(source: Sequence, target: Sequence) -> AlphabetMap:
@@ -129,9 +134,7 @@ def index_string(raw: Sequence, alphabet: AlphabetMap) -> IndexedString:
 
 
 def _occurrences(indexed: IndexedString, code: int) -> List[int]:
-    if not 1 <= code <= indexed.alphabet.d:
-        raise ValueError(f"code {code} outside [1..{indexed.alphabet.d}]")
-    return indexed.select_table[code - 1]
+    return indexed.select_table[_code_index(indexed.alphabet, code)]
 
 
 def rank(indexed: IndexedString, i: int, code: int) -> int:

@@ -248,6 +248,22 @@ def test_zero_imbalance_uses_no_memo():
     assert result.distance == Cost.finite(2)
 
 
+@pytest.mark.parametrize("d, m", [(4, 2000), (4, 2400), (300, 2000)])
+@pytest.mark.parametrize("with_script", [False, True])
+def test_zero_imbalance_never_sweeps_nor_builds_a_rank_table(monkeypatch, d, m, with_script):
+    # the walk alone solves an s = 0 pair: neither the sweep nor the rank
+    # table of its match costs may add time or memory to it
+    def fail(*args):
+        raise AssertionError("an s = 0 pair entered the sweep")
+    monkeypatch.setattr(_Computation, "_sweep", fail)
+    monkeypatch.setattr(_Computation, "_crossings", fail)
+    source, target = generate_instance(
+        GeneratorSpec(d=d, n=2000, m=m, profile="zero-g", seed=0))
+    result = correction_distance(source, target, with_script=with_script)
+    assert (result.stats.s, result.memo_entries) == (0, 0)
+    assert result.distance.value >= m - 2000
+
+
 def test_zero_counter_invariant_in_every_visited_state(rng, unpruned):
     # an imbalanced code's matched count lies in its window: at most its
     # source and target counts so far, at least what the inserts left over
@@ -753,6 +769,9 @@ def test_narrow_first_beam_prices_few_states_on_memo_specs(monkeypatch):
             correction_distance(*generate_instance(GeneratorSpec(
                 d=d, n=n, m=n * 3 // 2, profile=profile, seed=seed)))
     assert sum(priced) <= 35_000, priced
+    # exactly: a sweep that relaxes a layer's children in another order
+    # keeps other tied states in its beams and prices another count
+    assert (len(priced), sum(priced)) == (13, 26_712), priced
 
 
 def test_box_check_catches_a_layer_that_outgrows_its_box(monkeypatch, unpruned):

@@ -104,6 +104,17 @@ def test_rank_rejects_out_of_range():
         rank(indexed, 1, 0)
 
 
+@pytest.mark.parametrize("code", [0, 3])
+def test_raw_of_and_rank_reject_codes_outside_the_alphabet(code):
+    # one check, one message: codes 0 and d + 1 of a 2-symbol alphabet
+    indexed, amap = _indexed("aba", "ab")
+    message = rf"code {code} outside \[1\.\.2\]"
+    with pytest.raises(ValueError, match=message):
+        amap.raw_of(code)
+    with pytest.raises(ValueError, match=message):
+        rank(indexed, 1, code)
+
+
 def test_select_examples():
     indexed, amap = _indexed("aba", "ab")
     a, b = amap.code_of("a"), amap.code_of("b")
