@@ -18,23 +18,28 @@ The walk passes matched source positions as it reaches them, and a match
 costs one bisect per code with a matched occurrence still ahead, so a
 source that scatters many codes far from their targets costs up to d
 bisects per step.  Any other pair first runs a sweep over target
-positions whose key is the k_a of the imbalanced codes only: a balanced
-code's count is fixed by q, and its matched positions sit in one Fenwick
-tree the layer's states share.  A match of b's next free occurrence r
-then costs r - 1, less the tree's matched positions before r, less the
-imbalanced codes' matched counts, plus one for each of their matched
-occurrences that lies past r.  The ranks of r among those codes'
-occurrences are found once per solve, and each imbalanced code keeps
-the tree's part of its match costs by matched count from layer to layer
-until a balanced match changes the tree.  On a layer whose code is
-balanced a state has one move and keeps its key: the match, when the
-code occurs in the source, else the insert.  A layer lies in a box of
-the product of (g_a + 1) states, ``InstanceStats.layer_bound``, which
-the sweep checks for each layer it builds, and the states priced stay
-within the paper's adaptive bound ``memo_bound``, which every solve
-checks.  Each state carries its cost from the start, and its moves relax
-the next layer's states; a distance-only sweep then drops it and holds
-one live layer, in the manner of Hirschberg (1975).
+positions whose key holds the k_a of the imbalanced codes only: a
+balanced code's count is fixed by q, and its matched positions sit in
+one Fenwick tree the layer's states share.  The key is one int: each k_a
+has a bit field n_a.bit_length() wide, and their sum, the state's
+matched total, sits in a field above them all, so the total is
+``key >> top``, and a match child is ``key + step`` with one step per
+imbalanced code.  A match of b's next free occurrence r then costs
+r - 1, less the tree's matched positions before r, less the matched
+total, plus one for each of the imbalanced codes' matched occurrences
+that lies past r.  The
+ranks of r among those codes' occurrences are found once per solve, and
+each imbalanced code keeps the tree's part of its match costs by matched
+count from layer to layer until a balanced match changes the tree.  On a
+layer whose code is balanced a state has one move and keeps its key: the
+match, when the code occurs in the source, else the insert.  A layer
+lies in a box of the product of (g_a + 1) states,
+``InstanceStats.layer_bound``, which the sweep checks for each layer it
+builds, and the states priced stay within the paper's adaptive bound
+``memo_bound``, which every solve checks.  Each state carries its cost
+from the start, and its moves relax the next layer's states; a
+distance-only sweep then drops it and holds one live layer, in the
+manner of Hirschberg (1975).
 
 The sweep is a branch and bound (Land & Doig 1960).  A state's cost plus
 its remaining inserts, (m - n) minus the inserts made so far, is its
@@ -146,9 +151,12 @@ class InstanceStats:
         d = source.alphabet.d
         n_counts = tuple(source.per_symbol_count)
         m_counts = tuple(target.per_symbol_count)
-        g_per_symbol = tuple(min(na, ma - na) for na, ma in zip(n_counts, m_counts))
+        # a symbol the source holds more often than the target makes the
+        # pair infeasible, and counts as balanced here
+        g_per_symbol = tuple(max(0, min(na, ma - na)) for na, ma in zip(n_counts, m_counts))
         # a sweep layer lies in a box of one matched count per imbalanced code
         positive = [g for g in g_per_symbol if g > 0]
+        feasible = all(na <= ma for na, ma in zip(n_counts, m_counts))
         return cls(
             n=len(source),
             m=len(target),
@@ -159,9 +167,10 @@ class InstanceStats:
             g=max(g_per_symbol, default=0),
             sigma_plus=_sigma_plus(g_per_symbol),
             s=len(positive),
-            predicted_state_bound=memo_bound(len(source), g_per_symbol, m_counts),
+            # an infeasible pair is settled before any state is priced
+            predicted_state_bound=memo_bound(len(source), g_per_symbol, m_counts) if feasible else 0,
             layer_bound=prod(g + 1 for g in positive),
-            feasible=all(na <= ma for na, ma in zip(n_counts, m_counts)),
+            feasible=feasible,
             alphabet=source.alphabet,
         )
 
@@ -219,10 +228,14 @@ class _Computation:
     then writes along one of its optimal paths:
     ``layers[q]`` maps each state of layer q that the bound let through,
     keyed by the imbalanced codes' matched counts, to its cost-to-go.  A
-    distance-only sweep holds one live layer at a time and leaves
-    ``layers`` empty.  ``priced`` counts the states the last pass priced,
-    the same in both modes; ``cut`` records that it dropped states for
-    its width.
+    key is one int laid out once per solve: the count of the code in slot
+    idx fills bits [shift[idx], shift[idx] + n_a.bit_length()), masked by
+    ``mask[idx]``, and the matched total fills the bits from ``top`` up.
+    A match of that code adds ``step[idx]``, one to its field and one to
+    the total, and the start state is 0.  A distance-only sweep holds one
+    live layer at a time and leaves ``layers`` empty.  ``priced`` counts
+    the states the last pass priced, the same in both modes; ``cut``
+    records that it dropped states for its width.
     """
 
     def __init__(self, source: IndexedString, target: IndexedString,
@@ -233,75 +246,100 @@ class _Computation:
         self.n = stats.n
         self.m = stats.m
         self.imbalanced = [a for a, g in enumerate(stats.g_per_symbol, 1) if g > 0]
-        # read by both passes; lists are indexed by code
+        # read by both passes; lists are indexed by code, or by slot
         self.slot = {a: idx for idx, a in enumerate(self.imbalanced)}
+        # the key layout: slot idx's matched count fills bits [shift[idx],
+        # shift[idx] + width) with width n_a.bit_length(), and the matched
+        # total sits above every field, from bit ``top``
+        self.shift, self.mask = [], []
+        top = 0
+        for a in self.imbalanced:
+            width = stats.n_counts[a - 1].bit_length()
+            self.shift.append(top)
+            self.mask.append((1 << width) - 1)
+            top += width
+        self.top = top
+        # a match of slot idx's code adds one to its field and to the total
+        self.step = [(1 << top) + (1 << at) for at in self.shift]
+        # by slot, R -> (field, R << shift, shift): the mask of the slot's
+        # bits in a key and R of its code's occurrences, shifted in place,
+        # for each R that a crossing may read, shared by every crossing
+        self.fields = [[(mask << at, rank << at, at) for rank in range(stats.n_counts[a - 1])]
+                       for a, at, mask in zip(self.imbalanced, self.shift, self.mask)]
         self.select_s = [()] + source.select_table
         self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
-        # (code, k) -> _crossings(code, k), filled on first use and shared
-        # by every pass
+        # code -> its list of k -> _crossings(code, k): each list is made on
+        # the code's first use, filled on first use of k and shared by every
+        # pass
         self.ranks = {}
         self.layers: List[dict] = []
         self.priced = 0  # states the sweep priced
         self.cut = False  # the beam dropped a state
 
-    def _crossings(self, b: int, k: int) -> Tuple[Tuple[int, int], ...]:
-        # (slot of u, R_u) for each imbalanced code u other than b that
-        # occurs after b's k-th occurrence r, R_u of its occurrences lying
-        # before r.  A state with k_u > R_u has matched k_u - R_u u's past
-        # r, and a match of r crosses each
-        found = self.ranks.get((b, k))
+    def _crossings(self, b: int, k: int) -> Tuple[Tuple[int, int, int], ...]:
+        # ``fields[slot of u][R_u]`` for each imbalanced code u other than b
+        # that occurs after b's k-th occurrence r, R_u of its occurrences
+        # lying before r.  A state with k_u > R_u has matched k_u - R_u u's
+        # past r, and a match of r crosses each
+        table = self.ranks.get(b)
+        if table is None:
+            table = self.ranks[b] = [None] * len(self.select_s[b])
+        found = table[k]
         if found is None:
             select_s = self.select_s
             r = select_s[b][k]
             found = []
-            for u, at in self.slot.items():
+            for u, idx in self.slot.items():
                 if u != b:
                     rank = bisect_left(select_s[u], r)
                     if rank < len(select_s[u]):
-                        found.append((at, rank))
-            found = self.ranks[b, k] = tuple(found)
+                        found.append(self.fields[idx][rank])
+            found = table[k] = tuple(found)
         return found
 
     def _sweep(self, keep: bool = True, width=inf, bound=inf) -> int:
         # The forward pass visits each layer's states, keyed by the imbalanced
-        # codes' matched counts, and counts them in ``priced``.  A state holds
-        # its cost from the start state: its moves relax the next layer's
-        # states, a terminal state folds its inserts into ``best``, and only
-        # the layer in hand is alive.  A match of b's next free occurrence r
-        # costs ``base`` - sum(key) plus its crossings, the k_u - R_u of
-        # ``_crossings``: ``base`` counts the positions before r that no
-        # balanced code matched.  Each imbalanced code caches ``base`` and the
-        # crossings by its matched count from layer to layer; a balanced match
-        # changes the Fenwick tree and clears every cache.  On a layer whose
-        # code b is balanced each state has one move, which keeps its key: the
-        # match when b occurs in the source, where no state is terminal, else
-        # the insert.  A match is dropped when its child's cost plus remaining
-        # inserts, which never falls along a move, exceeds ``bound``; an
-        # insert leaves that sum as it is.  A layer of more than ``width``
-        # states keeps the ``width`` cheapest, sets ``cut`` and stops keeping
-        # layers; an unbounded pass then narrows ``width`` to an eighth, and a
-        # cut pass may end with no state and return inf.  With ``keep`` every
-        # layer is kept in ``layers``, and each state, once relaxed, holds one
-        # int: ``edge << 2 | survived << 1 | can_insert``, the match cost (0
-        # when no match is left), whether the match child exists and the bound
-        # let it through, and whether b may be inserted, keeping the key; a
-        # terminal state holds q - m - 1 < 0.  The backward pass rebuilds each
-        # match child from the key and overwrites every entry with its
-        # cost-to-go for the walk.  A layer of more states than its box,
-        # ``stats.layer_bound``, is an internal error.
-        # Positions are 1-based, lists are indexed by code.
+        # codes' matched counts in one int, and counts them in ``priced``.  A
+        # state holds its cost from the start state: its moves relax the next
+        # layer's states, a terminal state folds its inserts into ``best``,
+        # and only the layer in hand is alive.  A state's matched total is
+        # ``key >> top``, the count k of slot idx ``key >> shift[idx] &
+        # mask[idx]``, and its match child ``key + step[idx]``.  A match of
+        # b's next free occurrence r costs ``base`` - total plus its
+        # crossings, the k_u - R_u of ``_crossings``, read in place as ``key &
+        # field`` against R_u << shift: ``base`` counts the positions before r
+        # that no balanced code matched.  Each imbalanced code caches ``base``
+        # and the crossings by its matched count from layer to layer; a
+        # balanced match changes the Fenwick tree and clears every cache.  On
+        # a layer whose code b is balanced each state has one move, which
+        # keeps its key: the match when b occurs in the source, where no state
+        # is terminal, else the insert.  A match is dropped when its child's
+        # cost plus remaining inserts, which never falls along a move, exceeds
+        # ``bound``; an insert leaves that sum as it is.  A layer of more than
+        # ``width`` states keeps the ``width`` cheapest, sets ``cut`` and
+        # stops keeping layers; an unbounded pass then narrows ``width`` to an
+        # eighth, and a cut pass may end with no state and return inf.  With
+        # ``keep`` every layer is kept in ``layers``, and each state, once
+        # relaxed, holds one int: ``edge << 2 | survived << 1 | can_insert``,
+        # the match cost (0 when no match is left), whether the match child
+        # exists and the bound let it through, and whether b may be inserted,
+        # keeping the key; a terminal state holds q - m - 1 < 0.  The backward
+        # pass rebuilds each match child as ``key + step[idx]`` and overwrites
+        # every entry with its cost-to-go for the walk.  A layer of more
+        # states than its box, ``stats.layer_bound``, is an internal error.
+        # Positions are 1-based; lists are indexed by code, the layout's by slot.
         n, m, d = self.n, self.m, self.stats.d
         box = self.stats.layer_bound
         l_syms = self.target.symbols
         select_s, spare, slot = self.select_s, self.spare, self.slot
+        top, shift, mask, step = self.top, self.shift, self.mask, self.step
         crossings = self._crossings
         self.cut = False
         tree = [0] * (n + 1)  # Fenwick tree over the balanced codes' matched positions
         before_l = [0] * (d + 1)
         rest = n  # source positions no balanced code has matched
         layers = self.layers
-        start = (0,) * len(slot)
-        layer = {start: 0}
+        layer = {0: 0}  # the start state, every count 0
         best = inf  # the cheapest terminal state's full cost
         priced = 0
         bounded = bound < inf
@@ -312,7 +350,7 @@ class _Computation:
             priced += len(layer)
             if bounded:
                 # a match's child has cost plus remaining inserts
-                # cost + sum(key) + m - q - rest, with key the parent's
+                # cost + total + m - q - rest, with total the parent's
                 limit = bound - m + q + rest
             if keep:
                 layers.append(layer)
@@ -327,11 +365,11 @@ class _Computation:
                 base = r - 1 - _matched_before(tree, r - 1)
                 ranks = crossings(b, k)
                 for key, value in layer.items():
-                    total = sum(key)
+                    total = key >> top
                     edge = base - total
-                    for at, rank in ranks:
-                        if key[at] > rank:
-                            edge += key[at] - rank
+                    for field, rank, at in ranks:
+                        if key & field > rank:
+                            edge += (key & field) - rank >> at
                     cost = value + edge
                     survived = not bounded or cost + total <= limit
                     if survived:
@@ -347,7 +385,7 @@ class _Computation:
             elif idx is None:
                 # a code absent from the source is inserted
                 for key, value in layer.items():
-                    if sum(key) == rest:
+                    if key >> top == rest:
                         # every source position is matched: only inserts remain
                         if value + m - q < best:
                             best = value + m - q
@@ -362,8 +400,9 @@ class _Computation:
                 # b may be inserted while its matched count k exceeds this
                 floor = k - spare[b]
                 cache = caches[idx]
+                at, ones, step_b = shift[idx], mask[idx], step[idx]
                 for key, value in layer.items():
-                    total = sum(key)
+                    total = key >> top
                     if total == rest:
                         # every source position is matched: only inserts remain
                         if value + m - q < best:
@@ -371,7 +410,7 @@ class _Computation:
                         if keep:
                             layer[key] = q - m - 1
                         continue
-                    k = key[idx]
+                    k = key >> at & ones
                     edge = None
                     survived = 0
                     if k < left:
@@ -381,12 +420,12 @@ class _Computation:
                             found = cache[k] = (r - 1 - _matched_before(tree, r - 1),
                                                 crossings(b, k))
                         edge = found[0] - total
-                        for at, rank in found[1]:
-                            if key[at] > rank:
-                                edge += key[at] - rank
+                        for field, rank, u_at in found[1]:
+                            if key & field > rank:
+                                edge += (key & field) - rank >> u_at
                         cost = value + edge
                         if not bounded or cost + total <= limit:
-                            child = key[:idx] + (k + 1,) + key[idx + 1:]
+                            child = key + step_b
                             if following.setdefault(child, cost) > cost:
                                 following[child] = cost
                             survived = 2
@@ -422,20 +461,29 @@ class _Computation:
         for q in range(m - 1, -1, -1):
             layer, following = layers[q], layers[q + 1]
             idx = slot.get(l_syms[q])
+            # a balanced match keeps the key
+            step_b = 0 if idx is None else step[idx]
             for key, entry in layer.items():
                 if entry < 0:
                     layer[key] = -1 - entry
                     continue
                 if entry & 2:
-                    child = key if idx is None else key[:idx] + (key[idx] + 1,) + key[idx + 1:]
-                    value = (entry >> 2) + following[child]
+                    value = (entry >> 2) + following[key + step_b]
                 else:
                     # no match is left, or the bound dropped it: it leads nowhere
                     value = inf
                 if entry & 1 and 1 + following[key] < value:
                     value = 1 + following[key]
                 layer[key] = value
-        return layers[0][start]
+        return layers[0][0]
+
+    def _key(self, k: List[int]) -> int:
+        # the sweep's key of the matched counts k, indexed by code
+        key = total = 0
+        for a, at in zip(self.imbalanced, self.shift):
+            key |= k[a] << at
+            total += k[a]
+        return total << self.top | key
 
     def _walk(self, ops: Optional[List]) -> int:
         # One path through the sweep's states, from the start state,
@@ -502,11 +550,10 @@ class _Computation:
                         raise RuntimeError(
                             "branching state reached in a zero-imbalance instance"
                         )
-                    key = [k[u] for u in self.imbalanced]
+                    key = self._key(k)
                     following = layers[q + 1]
-                    ins_value = following[tuple(key)]
-                    key[slot[b]] += 1
-                    swap = edge + following.get(tuple(key), inf) < 1 + ins_value
+                    swap = (edge + following.get(key + self.step[slot[b]], inf)
+                            < 1 + following[key])
             if swap:
                 if ops is not None:
                     ops.extend(map(Swap, range(q + edge, q, -1)))

@@ -153,8 +153,9 @@ def test_dist_json_infeasible_pair_with_imbalanced_symbol(capsys):
     report = json.loads(out)
     assert (report["d"], report["g"], report["s"]) == (2, 1, 1)
     assert report["feasible"] is False
-    # the bound is the pair's profile, the same figure `stats` prints
-    assert (report["memo_entries"], report["state_bound"]) == (0, 40)
+    # the bound is the pair's profile, the same figure `stats` prints: no
+    # state of an infeasible pair is ever priced
+    assert (report["memo_entries"], report["state_bound"]) == (0, 0)
 
 
 def test_dist_usage_error_exit_1(capsys):
@@ -414,6 +415,27 @@ def test_stats_json(capsys):
     assert {entry["symbol"] for entry in report["per_symbol"]} == {"a", "b"}
 
 
+def test_stats_clamps_the_imbalance_of_an_over_supplied_symbol(capsys):
+    # the source's one a has no a in the target to go to: its imbalance
+    # reads 0, not min(1, 0 - 1)
+    code, out, _ = run_cli(capsys, "stats", "--bytes", "a", "é")
+    assert code == 0
+    assert "symbol 97: n=1 m=0 g=0" in out
+    assert "g: 0  s: 0" in out
+    assert "feasible: no" in out
+
+
+@pytest.mark.parametrize("source, target", [("aab", "abbb"), ("a", "é"), ("ccccba", "bcbba")])
+def test_stats_and_dist_agree_on_a_zero_bound_for_an_infeasible_pair(capsys, source, target):
+    _, stats_out, _ = run_cli(capsys, "stats", source, target, "--json")
+    code, dist_out, _ = run_cli(capsys, "dist", source, target, "--json")
+    stats, dist = json.loads(stats_out), json.loads(dist_out)
+    assert code == 2
+    assert stats["feasible"] is dist["feasible"] is False
+    assert stats["predicted_state_bound"] == dist["state_bound"] == dist["memo_entries"] == 0
+    assert min(entry["g"] for entry in stats["per_symbol"]) == 0
+
+
 # -- bench -------------------------------------------------------------------------
 
 def test_bench_two_records(tmp_path, capsys):
@@ -508,7 +530,9 @@ def _digest(text):
 def test_cli_sweep_matches_committed_outputs(capsys):
     # one argv per line: the exit code, the SHA-256 of stdout and of
     # stderr, then the argv as JSON, written from main() at commit
-    # d6ebf1556de142674935f3699e0fcea6bf001d9a; extend it the same way
+    # d6ebf1556de142674935f3699e0fcea6bf001d9a, the 14 lines of infeasible
+    # dist and stats argvs rewritten once the imbalance of an over-supplied
+    # symbol was clamped at 0; extend it the same way
     cases = [line.split(" ", 3) for line in CLI_SWEEP.read_text().splitlines()]
     assert [json.loads(argv) for *_, argv in cases] == list(_cli_sweep_argvs())
     for code, out, err, argv in cases:
