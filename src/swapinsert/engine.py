@@ -14,10 +14,14 @@ state with every source position matched is terminal.
 A pair whose per-symbol imbalance is zero everywhere never has a choice,
 so a forward walk along its one path solves it, with no layer at all;
 that is what makes the equal-length, swap-only case effectively linear.
-The walk passes matched source positions as it reaches them, and a match
-costs one bisect per code with a matched occurrence still ahead, so a
-source that scatters many codes far from their targets costs up to d
-bisects per step.  Any other pair first runs a sweep over target
+The walk flags each source position a swap matches and passes a run of
+flags in one step.  It finds b's next free occurrence by a forward scan
+from past the one a swap last matched for b, so one code's scans read
+each position once, or, for a code rare in the source, in the select
+table, built only then.  A swap costs the positions it passes less their
+flags, counted in C over a short span, from the last count when the span
+moved little, else from per-block counts of about sqrt(n) positions, so
+no step's cost grows with d.  Any other pair first runs a sweep over target
 positions whose key holds the k_a of the imbalanced codes only: a
 balanced code's count is fixed by q, and its matched positions sit in
 one Fenwick tree the layer's states share.  The key is one int: each k_a
@@ -82,7 +86,7 @@ unreachable is settled before any solve, and comes back without a script
 from every entry point.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import inf, prod
 from operator import itemgetter
@@ -95,6 +99,10 @@ from .scripts import Delete, Insert, Script, Swap
 
 # The beams' width; inf turns the beams and the bounds off everywhere.
 _BEAM = 64
+
+# A code with fewer than one source occurrence in this many positions
+# reads the select table; a scan for its next occurrence would run longer.
+_SCAN = 64
 
 
 def _sigma_plus(g_by_code: Sequence[int]) -> Tuple[int, ...]:
@@ -266,7 +274,6 @@ class _Computation:
         # for each R that a crossing may read, shared by every crossing
         self.fields = [[(mask << at, rank << at, at) for rank in range(stats.n_counts[a - 1])]
                        for a, at, mask in zip(self.imbalanced, self.shift, self.mask)]
-        self.select_s = [()] + source.select_table
         self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
         # code -> its list of k -> _crossings(code, k): each list is made on
         # the code's first use, filled on first use of k and shared by every
@@ -331,7 +338,8 @@ class _Computation:
         n, m, d = self.n, self.m, self.stats.d
         box = self.stats.layer_bound
         l_syms = self.target.symbols
-        select_s, spare, slot = self.select_s, self.spare, self.slot
+        select_s = self.select_s = [()] + self.source.select_table
+        spare, slot = self.spare, self.slot
         top, shift, mask, step = self.top, self.shift, self.mask, self.step
         crossings = self._crossings
         self.cut = False
@@ -488,26 +496,42 @@ class _Computation:
     def _walk(self, ops: Optional[List]) -> int:
         # One path through the sweep's states, from the start state,
         # appending the script to ``ops`` when given.  ``k[a]`` counts the
-        # matched source a's, always the first ones; those at or after
-        # source position p are passed when reached, and a code is live
-        # while it has one.  A match costs one bisect per live code.  Equal
+        # matched source a's, always the first ones, and every source
+        # position before p is matched; a position that a swap matched is
+        # flagged in ``swapped``, and p passes a run of flags in one step.
+        # b's next free occurrence r is found by a forward scan of the
+        # source from past the occurrence a swap last matched for b, or
+        # from p, so the scans of one code read each position at most once;
+        # a code with fewer than one occurrence in ``_SCAN`` positions reads
+        # the select table instead.  A swap costs r - p less the flags in
+        # [p, r): counted directly over a span of at most ``window``
+        # positions, from the previous count when the span's ends moved by
+        # at most that much, else from the flags' per-block counts.  Equal
         # heads are the sweep's forced zero-cost match; elsewhere at most
         # one move applies, except where the insert test and a free source
         # b both hold: there the sweep's layers pick the cheaper child, a
         # match child the bound dropped reading as +inf, and a tie goes to
         # the insert.  Without layers (no imbalanced symbol) such a state
-        # must not occur.  Positions p and q are 0-based.
+        # must not occur.  Positions p, q and r are 0-based.
         n, m, d = self.n, self.m, self.stats.d
         layers = self.layers
         s_syms = self.source.symbols
         l_syms = self.target.symbols
-        select_s, spare, slot = self.select_s, self.spare, self.slot
+        spare, slot = self.spare, self.slot
         raw = self.source.alphabet.external_symbols
+        counts = (0,) + self.stats.n_counts
+        rare = [count * _SCAN < n for count in counts]
+        table = None  # the source's select table, read once a rare code needs it
+        starts = [0] * (d + 1)  # per code, past the occurrence a swap last matched
+        # blocks of 2 ** shift positions, about the square root of n
+        shift = n.bit_length() >> 1
+        window = 1 << shift
+        swapped = bytearray(n + 1)  # the 0 at n ends every run of flags
+        blocks = [0] * ((n >> shift) + 1)
+        count, find, index = swapped.count, swapped.find, s_syms.index
+        last_p = last_r = last_count = 0  # the previous count's span and value
         k = [0] * (d + 1)
-        live = set()
-        # occurrences of each code before source position p / target position q
-        before_s = [0] * (d + 1)
-        before_l = [0] * (d + 1)
+        inserted = [0] * (d + 1)
         p = q = total = 0
         while True:
             if p == n:
@@ -519,33 +543,45 @@ class _Computation:
                 if sum(k) < n:
                     raise RuntimeError("internal error: the walk left a source position unmatched")
                 return total
-            a = s_syms[p]
-            if before_s[a] < k[a]:
-                # matched by an earlier swap: pass it
-                before_s[a] += 1
-                if before_s[a] == k[a]:
-                    live.discard(a)
-                p += 1
+            if swapped[p]:
+                p = find(0, p)
                 continue
+            a = s_syms[p]
             b = l_syms[q]
             if a == b:
-                before_s[a] += 1
-                before_l[a] += 1
                 k[a] += 1
                 p += 1
                 q += 1
                 continue
             kb = k[b]
-            occurrences = select_s[b]
             # with no free b left in the source the insert test holds
-            swap = kb < len(occurrences)
+            swap = kb < counts[b]
             if swap:
-                r = occurrences[kb]
-                edge = r - p - 1
-                for t in live:
-                    edge -= bisect_right(select_s[t], r, before_s[t], k[t]) - before_s[t]
+                if rare[b]:
+                    if table is None:
+                        table = self.source.select_table
+                    r = table[b - 1][kb] - 1
+                else:
+                    start = starts[b]
+                    r = index(b, start if start > p else p)
+                edge = r - p
+                if edge <= window:
+                    # p is free, so a span of one position holds no flag
+                    flagged = count(1, p, r) if edge > 1 else 0
+                elif p - last_p + abs(r - last_r) <= window:
+                    flagged = last_count - count(1, last_p, p)
+                    if r < last_r:
+                        flagged -= count(1, r, last_r)
+                    else:
+                        flagged += count(1, last_r, r)
+                else:
+                    lo, hi = (p >> shift) + 1, r >> shift
+                    flagged = (count(1, p, lo << shift) + sum(blocks[lo:hi])
+                               + count(1, hi << shift, r))
+                last_p, last_r, last_count = p, r, flagged
+                edge -= flagged
                 # the insert test: fewer than m_b - n_b b's inserted so far
-                if before_l[b] - kb < spare[b]:
+                if inserted[b] < spare[b]:
                     if not layers:
                         raise RuntimeError(
                             "branching state reached in a zero-imbalance instance"
@@ -559,12 +595,14 @@ class _Computation:
                     ops.extend(map(Swap, range(q + edge, q, -1)))
                 total += edge
                 k[b] = kb + 1
-                live.add(b)
+                swapped[r] = 1
+                blocks[r >> shift] += 1
+                starts[b] = r + 1
             else:
                 if ops is not None:
                     ops.append(Insert(q + 1, raw[b - 1]))
                 total += 1
-            before_l[b] += 1
+                inserted[b] += 1
             q += 1
 
     def solve(self, ops: Optional[List] = None) -> int:

@@ -3,7 +3,8 @@
 An index counts each code's occurrences when it is built.  Its table of
 per-code occurrence positions is built on first read and cached, so it
 costs O(n) space, for any alphabet size, only for a string whose table
-is read: a solve reads the source's and never the target's.  ``select``
+is read: a solve never reads the target's, and reads the source's for a
+pair with an imbalanced code or a source with a rare code.  ``select``
 reads the table in O(1); ``rank`` and ``count`` bisect it in O(log n).
 
 Symbol codes live in [1..d] and string positions are 1-based everywhere.

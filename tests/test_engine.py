@@ -271,7 +271,9 @@ def test_zero_imbalance_uses_no_memo():
 @pytest.mark.parametrize("with_script", [False, True])
 def test_zero_imbalance_never_sweeps_nor_builds_a_rank_table(monkeypatch, d, m, with_script):
     # the walk alone solves an s = 0 pair: neither the sweep nor the rank
-    # table of its match costs may add time or memory to it
+    # table of its match costs may add time or memory to it, and a walk
+    # over a few frequent codes scans the source instead of building its
+    # select table
     def fail(*args):
         raise AssertionError("an s = 0 pair entered the sweep")
     monkeypatch.setattr(_Computation, "_sweep", fail)
@@ -281,6 +283,11 @@ def test_zero_imbalance_never_sweeps_nor_builds_a_rank_table(monkeypatch, d, m, 
     result = correction_distance(source, target, with_script=with_script)
     assert (result.stats.s, result.memo_entries) == (0, 0)
     assert result.distance.value >= m - 2000
+    S, L = indexed_pair(source, target)
+    solve = engine.distance_with_script if with_script else engine.distance
+    assert solve(S, L) == result
+    if d == 4:
+        assert S._select_table is None
 
 
 def test_zero_counter_invariant_in_every_visited_state(rng, unpruned):
@@ -471,23 +478,38 @@ def _inversions(values):
     return total, merged
 
 
-def _shuffled_zero_imbalance_pair():
-    # 100 codes, 10 of them absent from the source, which is a full random
-    # shuffle of the target's other symbols: dozens of codes have matched
-    # occurrences ahead of the walk at once
-    rng = random.Random(41)
-    symbols = [chr(0x4E00 + code) for code in range(100)]
-    present, absent = symbols[:90], symbols[90:]
-    kept = present + [rng.choice(present) for _ in range(910)]
+def _shuffled_zero_imbalance_pair(d, n, seed):
+    # d codes, a tenth of them absent from the source, which is a full
+    # random shuffle of the target's other symbols: dozens of codes have
+    # matched occurrences ahead of the walk at once
+    rng = random.Random(seed)
+    symbols = [chr(0x4E00 + code) for code in range(d)]
+    present, absent = symbols[:d - d // 10], symbols[d - d // 10:]
+    kept = present + [rng.choice(present) for _ in range(n - len(present))]
     target = kept + absent * 3
     rng.shuffle(target)
     return "".join(rng.sample(kept, len(kept))), "".join(target)
 
 
+def _block_reversed_pair(d, run):
+    # a sorted target against its reverse: every swap's span is longer than
+    # the walk's blocks, and it moves by one position from swap to swap
+    # until the walk turns to the next symbol
+    target = "".join(chr(0x4E00 + code) * run for code in range(d))
+    return target[::-1], target
+
+
 def test_large_alphabet_zero_imbalance_matches_forced_matching():
     generated = generate_instance(
         GeneratorSpec(d=4096, n=20_000, m=22_000, profile="zero-g", seed=3))
-    for (source, target), d in ((generated, 4096), (_shuffled_zero_imbalance_pair(), 100)):
+    # the block-reversed pair's swaps count their spans from the previous
+    # swap's count; the last pair's codes are rare enough for the walk to
+    # read the select table, and its spans are counted directly, from the
+    # previous count and from per-block counts
+    for (source, target), d in ((generated, 4096),
+                                (_shuffled_zero_imbalance_pair(100, 1000, 41), 100),
+                                (_block_reversed_pair(4, 200), 4),
+                                (_shuffled_zero_imbalance_pair(1000, 3000, 43), 1000)):
         amap = build_alphabet(source, target)
         assert amap.d == d
         # every symbol is absent from the source or fully present, so the
