@@ -18,12 +18,13 @@ The walk flags each source position a swap matches and passes a run of
 flags in one step.  It finds b's next free occurrence by a forward scan
 from past the one a swap last matched for b, so one code's scans read
 each position once, or, for a code rare in the source, in the select
-table, built only then.  A swap costs the positions it passes less their
-flags, counted in C over a short span, from the last count when the span
-moved little, else from per-block counts of about sqrt(n) positions, so
-no step's cost grows with d.  Any other pair first runs a sweep over target
-positions whose key holds the k_a of the imbalanced codes only: a
-balanced code's count is fixed by q, and its matched positions sit in
+table, built only once the rare codes' scans have read 4n positions.  A
+swap costs the positions it passes less their flags, counted in C over a
+short span, from the last count when the span moved little, else from
+per-block counts of about sqrt(n) positions, so no step's cost grows
+with d.  Any other pair first runs a sweep over target positions whose
+key holds the k_a of the imbalanced codes only: a balanced code's count
+is fixed by q, and its matched positions sit in
 one Fenwick tree the layer's states share.  The key is one int: each k_a
 has a bit field n_a.bit_length() wide, and their sum, the state's
 matched total, sits in a field above them all, so the total is
@@ -101,8 +102,12 @@ from .scripts import Delete, Insert, Script, Swap
 _BEAM = 64
 
 # A code with fewer than one source occurrence in this many positions
-# reads the select table; a scan for its next occurrence would run longer.
+# reads the select table, once the scans of such codes have read
+# ``_SCANNED`` times n positions: a table costs about 100 ns per source
+# position to build, a scan about 5 ns per position it reads (CPython
+# 3.11, x86-64), and a locally shuffled pair's scans stay short.
 _SCAN = 64
+_SCANNED = 4
 
 
 def _sigma_plus(g_by_code: Sequence[int]) -> Tuple[int, ...]:
@@ -503,10 +508,12 @@ class _Computation:
         # source from past the occurrence a swap last matched for b, or
         # from p, so the scans of one code read each position at most once;
         # a code with fewer than one occurrence in ``_SCAN`` positions reads
-        # the select table instead.  A swap costs r - p less the flags in
-        # [p, r): counted directly over a span of at most ``window``
-        # positions, from the previous count when the span's ends moved by
-        # at most that much, else from the flags' per-block counts.  Equal
+        # the select table instead, once a sweep has built it or the scans
+        # of such codes have read ``_SCANNED`` * n positions.  A swap costs
+        # r - p less the flags in [p, r): counted directly over a span of
+        # at most ``window`` positions, from the previous count when the
+        # span's ends moved by at most that much, else from the flags'
+        # per-block counts.  Equal
         # heads are the sweep's forced zero-cost match; elsewhere at most
         # one move applies, except where the insert test and a free source
         # b both hold: there the sweep's layers pick the cheaper child, a
@@ -521,7 +528,10 @@ class _Computation:
         raw = self.source.alphabet.external_symbols
         counts = (0,) + self.stats.n_counts
         rare = [count * _SCAN < n for count in counts]
-        table = None  # the source's select table, read once a rare code needs it
+        # the source's select table, which a sweep has built; else the rare
+        # codes' scans may read this many positions before it is built
+        table = self.source.select_table if self.stats.s else None
+        budget = _SCANNED * n
         starts = [0] * (d + 1)  # per code, past the occurrence a swap last matched
         # blocks of 2 ** shift positions, about the square root of n
         shift = n.bit_length() >> 1
@@ -557,13 +567,17 @@ class _Computation:
             # with no free b left in the source the insert test holds
             swap = kb < counts[b]
             if swap:
-                if rare[b]:
-                    if table is None:
-                        table = self.source.select_table
+                if rare[b] and table is not None:
                     r = table[b - 1][kb] - 1
                 else:
                     start = starts[b]
-                    r = index(b, start if start > p else p)
+                    if start < p:
+                        start = p
+                    r = index(b, start)
+                    if rare[b]:
+                        budget -= r - start
+                        if budget < 0:
+                            table = self.source.select_table
                 edge = r - p
                 if edge <= window:
                     # p is free, so a span of one position holds no flag

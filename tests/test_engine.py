@@ -503,9 +503,9 @@ def test_large_alphabet_zero_imbalance_matches_forced_matching():
     generated = generate_instance(
         GeneratorSpec(d=4096, n=20_000, m=22_000, profile="zero-g", seed=3))
     # the block-reversed pair's swaps count their spans from the previous
-    # swap's count; the last pair's codes are rare enough for the walk to
-    # read the select table, and its spans are counted directly, from the
-    # previous count and from per-block counts
+    # swap's count; the last pair's codes are rare and its scans long
+    # enough for the walk to read the select table, and its spans are
+    # counted directly, from the previous count and from per-block counts
     for (source, target), d in ((generated, 4096),
                                 (_shuffled_zero_imbalance_pair(100, 1000, 41), 100),
                                 (_block_reversed_pair(4, 200), 4),
@@ -535,6 +535,22 @@ def test_large_alphabet_zero_imbalance_matches_forced_matching():
         assert apply_script(source, script) == target
         # the walk alone solves it: no layer is built
         assert not comp.layers
+
+
+def test_walk_builds_the_select_table_only_after_long_scans():
+    # every code of both pairs is rare, under one occurrence in 64 source
+    # positions; the locally shuffled pair's scans read fewer than 4n
+    # positions, so its walk scans for each next occurrence, while the full
+    # shuffle's scans pass 4n within a few dozen swaps and read the table
+    local = generate_instance(GeneratorSpec(d=1000, n=10_000, m=10_000, profile="zero-g", seed=0))
+    full = _shuffled_zero_imbalance_pair(1000, 3000, 43)
+    for (source, target), built in ((local, False), (full, True)):
+        S, L = indexed_pair(source, target)
+        stats = InstanceStats.of(S, L)
+        assert stats.s == 0
+        assert all(count * engine._SCAN < stats.n for count in stats.n_counts)
+        assert engine.distance(S, L) == correction_distance(source, target)
+        assert (S._select_table is not None) == built
 
 
 def test_insertion_preferred_on_ties():

@@ -1,7 +1,9 @@
 import random
+import re
 import sys
 import threading
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +21,7 @@ from swapinsert import (
     rank,
     select,
 )
-from swapinsert import engine
+from swapinsert import engine, indexing
 
 texts = st.text(alphabet="abc", max_size=16)
 
@@ -171,25 +173,33 @@ def test_lazy_table_and_counts_match_eager_references():
 
 def test_threads_reading_a_fresh_table_all_get_an_equal_one():
     # first reads race to build the table; each thread may build its own,
-    # but every one is equal to the eager table, whichever is kept
+    # but every one is equal to the eager table, whichever is kept; so do
+    # first codings through a map's C-path table, against the generic codes
     rng = random.Random(7)
     codes = tuple(rng.randint(1, 50) for _ in range(20_000))
     expected = _eager_table(codes, 50)
+    text = "".join(rng.choice("abcdefgh") for _ in range(20_000))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             indexed = index_string(codes, AlphabetMap(range(1, 51)))
+            amap = build_alphabet(text, text)
+            coded = index_string(list(text), amap).symbols
             seen = []
             threads = [threading.Thread(target=lambda: seen.append(indexed.select_table))
                        for _ in range(8)]
+            threads += [threading.Thread(
+                target=lambda: seen.append(index_string(text, amap).symbols == coded))
+                for _ in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
-            assert len(seen) == 8
-            assert all(table == expected for table in seen)
+            tables = [table for table in seen if isinstance(table, list)]
+            assert len(tables) == 8 and seen.count(True) == 8
+            assert all(table == expected for table in tables)
             assert indexed.select_table == expected
     finally:
         sys.setswitchinterval(interval)
@@ -218,6 +228,83 @@ def test_solves_never_build_the_targets_table(monkeypatch):
         if distance(S, L).distance.is_finite:
             distance_with_script(S, L)
         assert L._select_table is None, (source, target)
+
+
+# -- the C path for ASCII str and bytes ------------------------------------
+
+def _assert_paths_agree(source, target):
+    # lists of the same symbols always take the generic dictionary coding
+    amap = build_alphabet(source, target)
+    reference = build_alphabet(list(source), list(target))
+    assert amap.external_symbols == reference.external_symbols
+    for raw in (source, target):
+        indexed = index_string(raw, amap)
+        expected = index_string(list(raw), reference)
+        assert type(indexed.symbols) is tuple
+        assert indexed.symbols == expected.symbols == amap.encode(raw)
+        assert indexed.per_symbol_count == expected.per_symbol_count
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+       st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+       st.booleans())
+def test_c_path_matches_the_generic_coding(source, target, as_bytes):
+    # with the threshold at 0 every ASCII str and bytes pair takes the C
+    # path, whose alphabet order, codes and counts are the generic ones
+    if as_bytes:
+        source, target = source.encode(), target.encode()
+    with mock.patch.object(indexing, "_C_PATH", 0):
+        assert isinstance(build_alphabet(source, target)._coded(source), bytes)
+        _assert_paths_agree(source, target)
+
+
+def test_c_path_on_long_strings_and_every_symbol():
+    rng = random.Random(2015)
+    every_ascii = "".join(map(chr, range(128)))
+    long_text = "".join(rng.choice("wxyz") for _ in range(5000))
+    cases = [
+        # all 128 code points, \x00 included: d = 128, counted per position
+        (every_ascii[::-1] * 9, every_ascii * 9),
+        # all 256 byte values: code 256 fits no byte, so the coding is generic
+        (bytes(range(256)) * 5, bytes(range(255, -1, -1)) * 5),
+        # few codes, counted by one bytes.count each
+        (long_text[::-1], long_text + "a"),
+        (long_text.encode(), (long_text + "a").encode()),
+        # a non-ASCII str beside an ASCII one, and empty strings
+        ("é" + long_text, long_text),
+        (long_text, ""),
+        ("", long_text.encode()),
+        ("", ""),
+        (b"", b""),
+    ]
+    for source, target in cases:
+        _assert_paths_agree(source, target)
+    assert isinstance(build_alphabet(long_text, long_text)._coded(long_text), bytes)
+    assert isinstance(build_alphabet(*cases[0])._coded(cases[0][0]), bytes)
+    # d = 256: the generic coding, to a tuple
+    assert isinstance(build_alphabet(*cases[1])._coded(cases[1][0]), tuple)
+
+
+@pytest.mark.parametrize("source, target, absent", [
+    ("abcd" * 300, "abcd" * 300 + "e", "e"),
+    (b"abcd" * 300, b"abcd" * 300 + b"e", ord("e")),
+    ("abcd" * 300, "abcd" * 300 + "\x00", "\x00"),
+    (b"abcd" * 300, b"abcd" * 300 + b"\x00", 0),
+    # an ordinal of at most d, which a table indexed by code would accept
+    ("abcd" * 300, "abcd" * 300 + "\x02", "\x02"),
+    (b"abcd" * 300, b"abcd" * 300 + b"\x03", 3),
+], ids=["str", "bytes", "str-nul", "bytes-nul", "str-ordinal", "bytes-ordinal"])
+def test_c_path_rejects_an_absent_symbol(source, target, absent):
+    amap = build_alphabet(source, source)
+    assert amap.d == 4
+    message = re.escape(f"symbol {absent!r} has no code")
+    for raw in (target, target[::-1]):
+        with pytest.raises(UnknownSymbol, match=message):
+            index_string(raw, amap)
+        with pytest.raises(UnknownSymbol, match=message):
+            amap.encode(raw)
+        with pytest.raises(UnknownSymbol, match=message):
+            index_string(list(raw), amap)
 
 
 # -- properties -------------------------------------------------------------
