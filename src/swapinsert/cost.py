@@ -5,6 +5,7 @@ never silently leak a sentinel into a real cost.
 """
 
 from functools import total_ordering
+from math import inf
 
 
 @total_ordering
@@ -21,8 +22,9 @@ class Cost:
     def __init__(self, value):
         if value is None:
             raise ValueError("use Cost.unreachable() for the unreachable value")
-        if value < 0:
-            raise ValueError("cost cannot be negative")
+        # also rejects nan, which equals nothing, and inf, which is not finite
+        if not 0 <= value < inf:
+            raise ValueError("cost must be non-negative and finite")
         self._value = value
 
     @classmethod

@@ -32,13 +32,13 @@ matched total, sits in a field above them all, so the total is
 imbalanced code.  A match of b's next free occurrence r then costs
 r - 1, less the tree's matched positions before r, less the matched
 total, plus one for each of the imbalanced codes' matched occurrences
-that lies past r.  The
-ranks of r among those codes' occurrences are found once per solve, and
-each imbalanced code keeps the tree's part of its match costs by matched
-count from layer to layer until a balanced match changes the tree.  On a
-layer whose code is balanced a state has one move and keeps its key: the
-match, when the code occurs in the source, else the insert.  A layer
-lies in a box of the product of (g_a + 1) states,
+that lies past r.  A solve's first sweep counts those codes' occurrences
+before each r in one pass over the source, and each imbalanced code
+keeps the tree's part of its match costs by matched count from layer
+to layer until a balanced match changes the tree.  On a layer whose
+code is balanced a state has one move and keeps its key: the match,
+when the code occurs in the source, else the insert.  A layer lies in
+a box of the product of (g_a + 1) states,
 ``InstanceStats.layer_bound``, which the sweep checks for each layer it
 builds, and the states priced stay within the paper's adaptive bound
 ``memo_bound``, which every solve checks.  Each state carries its cost
@@ -87,7 +87,6 @@ unreachable is settled before any solve, and comes back without a script
 from every entry point.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import inf, prod
 from operator import itemgetter
@@ -217,8 +216,8 @@ class EngineResult:
         against each other and the unweighted optimum fixes both
         operation counts.
         """
-        if c_ins < 0 or c_swap < 0:
-            raise ValueError("weights must be non-negative")
+        if not (0 <= c_ins < inf and 0 <= c_swap < inf):
+            raise ValueError("weights must be non-negative and finite")
         if not self.distance.is_finite:
             return Cost.unreachable()
         inserts = self.stats.m - self.stats.n
@@ -274,40 +273,37 @@ class _Computation:
         self.top = top
         # a match of slot idx's code adds one to its field and to the total
         self.step = [(1 << top) + (1 << at) for at in self.shift]
-        # by slot, R -> (field, R << shift, shift): the mask of the slot's
-        # bits in a key and R of its code's occurrences, shifted in place,
-        # for each R that a crossing may read, shared by every crossing
-        self.fields = [[(mask << at, rank << at, at) for rank in range(stats.n_counts[a - 1])]
-                       for a, at, mask in zip(self.imbalanced, self.shift, self.mask)]
         self.spare = [0] + [ma - na for na, ma in zip(stats.n_counts, stats.m_counts)]
-        # code -> its list of k -> _crossings(code, k): each list is made on
-        # the code's first use, filled on first use of k and shared by every
-        # pass
-        self.ranks = {}
+        self.matches = None  # the first sweep's ``_match_table``, shared by every pass
         self.layers: List[dict] = []
         self.priced = 0  # states the sweep priced
         self.cut = False  # the beam dropped a state
 
-    def _crossings(self, b: int, k: int) -> Tuple[Tuple[int, int, int], ...]:
-        # ``fields[slot of u][R_u]`` for each imbalanced code u other than b
-        # that occurs after b's k-th occurrence r, R_u of its occurrences
-        # lying before r.  A state with k_u > R_u has matched k_u - R_u u's
-        # past r, and a match of r crosses each
-        table = self.ranks.get(b)
-        if table is None:
-            table = self.ranks[b] = [None] * len(self.select_s[b])
-        found = table[k]
-        if found is None:
-            select_s = self.select_s
-            r = select_s[b][k]
-            found = []
-            for u, idx in self.slot.items():
-                if u != b:
-                    rank = bisect_left(select_s[u], r)
-                    if rank < len(select_s[u]):
-                        found.append(self.fields[idx][rank])
-            found = table[k] = tuple(found)
-        return found
+    def _match_table(self) -> List[List[Tuple[int, tuple]]]:
+        # By code b, k -> (r, crossings): r is the 1-based position of the
+        # source's b that follows its first k, and crossings holds, for each
+        # imbalanced code u other than b that occurs after r, the triple
+        # (field, R_u << shift, shift): the mask of u's bits in a key and
+        # R_u, the u's before r, shifted in place.  A state with k_u > R_u
+        # has matched k_u - R_u u's past r, and a match of r crosses each.
+        # One pass over the source counts the R_u as it goes.
+        table = [[] for _ in range(self.stats.d + 1)]
+        # by slot, the triple at its code's occurrences seen so far, made
+        # once per count and shared; None once all are seen
+        current = [(mask << at, 0, at) for at, mask in zip(self.shift, self.mask)]
+        crossings = tuple(current)
+        slot, counts = self.slot, self.stats.n_counts
+        for r, b in enumerate(self.source.symbols, 1):
+            idx = slot.get(b)
+            if idx is None:
+                table[b].append((r, crossings))
+                continue
+            field, _, at = own = current[idx]
+            listed = table[b]
+            listed.append((r, tuple(f for f in crossings if f is not own)))
+            current[idx] = (field, len(listed) << at, at) if len(listed) < counts[b - 1] else None
+            crossings = tuple(f for f in current if f is not None)
+        return table
 
     def _sweep(self, keep: bool = True, width=inf, bound=inf) -> int:
         # The forward pass visits each layer's states, keyed by the imbalanced
@@ -318,7 +314,7 @@ class _Computation:
         # ``key >> top``, the count k of slot idx ``key >> shift[idx] &
         # mask[idx]``, and its match child ``key + step[idx]``.  A match of
         # b's next free occurrence r costs ``base`` - total plus its
-        # crossings, the k_u - R_u of ``_crossings``, read in place as ``key &
+        # crossings, the k_u - R_u of ``matches``, read in place as ``key &
         # field`` against R_u << shift: ``base`` counts the positions before r
         # that no balanced code matched.  Each imbalanced code caches ``base``
         # and the crossings by its matched count from layer to layer; a
@@ -343,10 +339,11 @@ class _Computation:
         n, m, d = self.n, self.m, self.stats.d
         box = self.stats.layer_bound
         l_syms = self.target.symbols
-        select_s = self.select_s = [()] + self.source.select_table
+        matches = self.matches
+        if matches is None:
+            matches = self.matches = self._match_table()
         spare, slot = self.spare, self.slot
         top, shift, mask, step = self.top, self.shift, self.mask, self.step
-        crossings = self._crossings
         self.cut = False
         tree = [0] * (n + 1)  # Fenwick tree over the balanced codes' matched positions
         before_l = [0] * (d + 1)
@@ -370,13 +367,12 @@ class _Computation:
             following = {}
             b = l_syms[q]
             idx = slot.get(b)
-            occurrences = select_s[b]
+            occurrences = matches[b]
             k = before_l[b]
             if idx is None and occurrences:
                 # a balanced code present in the source matches its next occurrence
-                r = occurrences[k]
+                r, ranks = occurrences[k]
                 base = r - 1 - _matched_before(tree, r - 1)
-                ranks = crossings(b, k)
                 for key, value in layer.items():
                     total = key >> top
                     edge = base - total
@@ -429,9 +425,8 @@ class _Computation:
                     if k < left:
                         found = cache.get(k)
                         if found is None:
-                            r = occurrences[k]
-                            found = cache[k] = (r - 1 - _matched_before(tree, r - 1),
-                                                crossings(b, k))
+                            r, ranks = occurrences[k]
+                            found = cache[k] = (r - 1 - _matched_before(tree, r - 1), ranks)
                         edge = found[0] - total
                         for field, rank, u_at in found[1]:
                             if key & field > rank:
@@ -508,8 +503,8 @@ class _Computation:
         # source from past the occurrence a swap last matched for b, or
         # from p, so the scans of one code read each position at most once;
         # a code with fewer than one occurrence in ``_SCAN`` positions reads
-        # the select table instead, once a sweep has built it or the scans
-        # of such codes have read ``_SCANNED`` * n positions.  A swap costs
+        # the select table instead, once the scans of such codes have read
+        # ``_SCANNED`` * n positions.  A swap costs
         # r - p less the flags in [p, r): counted directly over a span of
         # at most ``window`` positions, from the previous count when the
         # span's ends moved by at most that much, else from the flags'
@@ -528,9 +523,9 @@ class _Computation:
         raw = self.source.alphabet.external_symbols
         counts = (0,) + self.stats.n_counts
         rare = [count * _SCAN < n for count in counts]
-        # the source's select table, which a sweep has built; else the rare
-        # codes' scans may read this many positions before it is built
-        table = self.source.select_table if self.stats.s else None
+        # the source's select table, built once the rare codes' scans have
+        # read this many positions
+        table = None
         budget = _SCANNED * n
         starts = [0] * (d + 1)  # per code, past the occurrence a swap last matched
         # blocks of 2 ** shift positions, about the square root of n

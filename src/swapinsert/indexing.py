@@ -3,9 +3,9 @@
 An index counts each code's occurrences when it is built.  Its table of
 per-code occurrence positions is built on first read and cached, so it
 costs O(n) space, for any alphabet size, only for a string whose table
-is read: a solve never reads the target's, and reads the source's for a
-pair with an imbalanced code, or for a source with rare codes whose
-scans run long.  ``select`` reads the table in O(1); ``rank`` and
+is read: a solve never reads the target's, and reads the source's only
+for a source with rare codes whose scans run long; the sweep prices its
+matches from a table of its own.  ``select`` reads the table in O(1); ``rank`` and
 ``count`` bisect it in O(log n).
 
 Symbol codes live in [1..d] and string positions are 1-based everywhere.

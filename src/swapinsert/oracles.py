@@ -9,7 +9,7 @@ share no code with the engine and exist to anchor trust in it.
 import heapq
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
 from typing import Optional, Sequence, Tuple
 
 from .cost import Cost
@@ -36,8 +36,8 @@ def ucs_distance(
     target's are never generated, which keeps the space finite.
     """
     c_ins, c_swap = weights if weights is not None else (1, 1)
-    if c_ins < 0 or c_swap < 0:
-        raise ValueError("weights must be non-negative")
+    if not (0 <= c_ins < inf and 0 <= c_swap < inf):
+        raise ValueError("weights must be non-negative and finite")
     start = tuple(source)
     goal = tuple(target)
     goal_counts = Counter(goal)

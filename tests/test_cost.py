@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 
@@ -11,8 +12,10 @@ def test_finite_value():
 
 
 def test_negative_rejected():
-    with pytest.raises(ValueError):
-        Cost(-1)
+    # nan equals nothing, itself included, and inf is no finite cost
+    for value in (-1, -inf, nan, inf):
+        with pytest.raises(ValueError):
+            Cost(value)
 
 
 def test_none_rejected():

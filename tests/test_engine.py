@@ -3,7 +3,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from math import inf
+from math import inf, nan
 from pathlib import Path
 
 import pytest
@@ -270,14 +270,14 @@ def test_zero_imbalance_uses_no_memo():
 @pytest.mark.parametrize("d, m", [(4, 2000), (4, 2400), (300, 2000)])
 @pytest.mark.parametrize("with_script", [False, True])
 def test_zero_imbalance_never_sweeps_nor_builds_a_rank_table(monkeypatch, d, m, with_script):
-    # the walk alone solves an s = 0 pair: neither the sweep nor the rank
-    # table of its match costs may add time or memory to it, and a walk
+    # the walk alone solves an s = 0 pair: neither the sweep nor the table
+    # of its match costs may add time or memory to it, and a walk
     # over a few frequent codes scans the source instead of building its
     # select table
     def fail(*args):
         raise AssertionError("an s = 0 pair entered the sweep")
     monkeypatch.setattr(_Computation, "_sweep", fail)
-    monkeypatch.setattr(_Computation, "_crossings", fail)
+    monkeypatch.setattr(_Computation, "_match_table", fail)
     source, target = generate_instance(
         GeneratorSpec(d=d, n=2000, m=m, profile="zero-g", seed=0))
     result = correction_distance(source, target, with_script=with_script)
@@ -792,12 +792,14 @@ def test_exhaustive_check_passes_under_a_narrow_beam(monkeypatch, beam, alphabet
 
 def test_hard_pair_prices_under_a_million_states():
     # balanced-g d = 4, n = 400 prices 6.49 M states unpruned; a count is
-    # asserted because, unlike a time, it does not vary between runs
-    source, target = generate_instance(
-        GeneratorSpec(d=4, n=400, m=600, profile="balanced-g", seed=0))
-    result = correction_distance(source, target)
-    assert result.stats.layer_bound > engine._BEAM
-    assert result.memo_entries < 10 ** 6
+    # asserted because, unlike a time, it does not vary between runs.  Both
+    # pairs are the CI hard-pair probes', pinned exactly
+    for d, pinned in ((4, (297, 166_026)), (5, (281, 618_195))):
+        source, target = generate_instance(
+            GeneratorSpec(d=d, n=400, m=600, profile="balanced-g", seed=0))
+        result = correction_distance(source, target)
+        assert result.stats.layer_bound > engine._BEAM
+        assert (result.distance.value, result.memo_entries) == pinned, d
 
 
 def test_bounded_beam_stays_wide_on_a_five_symbol_pair():
@@ -1013,9 +1015,15 @@ def test_weighted_unreachable():
 
 
 def test_weighted_rejects_negative():
+    # nan and inf would give a Cost that is not finite or not equal to itself
     S, L = indexed_pair("a", "ab")
-    with pytest.raises(ValueError):
-        weighted_distance(S, L, -1, 1)
+    result = correction_distance("ba", "aab")
+    for weight in (-1, nan, inf):
+        for weights in ((weight, 1), (1, weight)):
+            with pytest.raises(ValueError):
+                weighted_distance(S, L, *weights)
+            with pytest.raises(ValueError):
+                result.weighted_cost(*weights)
 
 
 def test_result_carries_the_instance_stats_and_weighted_cost(rng):

@@ -205,10 +205,11 @@ def test_threads_reading_a_fresh_table_all_get_an_equal_one():
         sys.setswitchinterval(interval)
 
 
-def test_solves_never_build_the_targets_table(monkeypatch):
-    # a solve reads only the source's occurrence lists, so the target's
-    # table stays unbuilt; covers the walk (s = 0), the sweep with and
-    # without a script, and an infeasible pair
+def test_solves_never_build_a_select_table(monkeypatch):
+    # the sweep prices its matches from its own table and the walk reads
+    # only the source's occurrence lists, once its scans of rare codes run
+    # long, so neither table is built on a short pair; covers the walk
+    # (s = 0), the sweep with and without a script, and an infeasible pair
     built = []
     index = engine.index_string
 
@@ -223,11 +224,13 @@ def test_solves_never_build_the_targets_table(monkeypatch):
             correction_distance(source, target, with_script=with_script)
             source_index, target_index = built
             assert target_index._select_table is None, (source, target)
+            assert source_index._select_table is None, (source, target, with_script)
         amap = build_alphabet(source, target)
         S, L = index_string(source, amap), index_string(target, amap)
         if distance(S, L).distance.is_finite:
             distance_with_script(S, L)
         assert L._select_table is None, (source, target)
+        assert S._select_table is None, (source, target)
 
 
 # -- the C path for ASCII str and bytes ------------------------------------

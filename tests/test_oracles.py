@@ -1,4 +1,5 @@
 import random
+from math import inf, nan
 
 import pytest
 
@@ -45,8 +46,11 @@ def test_weighted_examples():
 
 
 def test_negative_weights_rejected():
-    with pytest.raises(ValueError):
-        ucs_distance("a", "ab", weights=(-1, 1))
+    # checked before the search, which would return Cost(nan) or Cost(inf)
+    for weight in (-1, nan, inf):
+        for weights in ((weight, 1), (1, weight)):
+            with pytest.raises(ValueError):
+                ucs_distance("ba", "aab", weights=weights)
 
 
 def test_state_budget_enforced():
