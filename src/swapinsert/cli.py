@@ -4,7 +4,11 @@ Exit codes are a function of the outcome only: 0 success/finite, 1 usage
 or disagreement, 2 unreachable distance, 3 oracle budget exceeded.
 Script lines print as ``ins <pos> <symbol>``, ``swap <pos>`` and
 ``del <pos>`` with 1-based positions into the working string, directly
-replayable in order.
+replayable in order.  A byte symbol prints as its integer value.  A text
+symbol prints as itself, unless it is whitespace, not printable, or
+``"``: then it prints as its JSON string (``" "``, ``"\\n"``,
+``"\\""``).  A line reads back split at its first two spaces, with a
+symbol that starts with ``"`` parsed as JSON.
 """
 
 import argparse
@@ -41,11 +45,29 @@ class _InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the subcommand parsers by name; build_parser fills it on the
+    # top-level parser only
+    commands: dict = {}
+
     # usage problems exit 1, keeping 2 and 3 free for outcomes
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a command line that starts with a subcommand is parsed by that
+        # subcommand's parser alone, which skips the top-level pass; one
+        # it leaves arguments over from goes through the full parse, so
+        # that every error and usage line stays the top-level parser's
+        args = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(args[0]) if args and namespace is None else None
+        if sub is not None:
+            parsed, extras = sub.parse_known_args(args[1:])
+            if not extras:
+                parsed.command = args[0]
+                return parsed, extras
+        return super().parse_known_args(args, namespace)
 
 
 def _fraction(text: str) -> Fraction:
@@ -156,15 +178,42 @@ def _echo(value) -> object:
     return value
 
 
-def _script_json(script) -> List[dict]:
+# an ins, swap and del op as one text line, and as the block that
+# json.dumps(report, indent=2) writes for it in the report's script list
+_TEXT_OPS = ("ins %d %s", "swap %d", "del %d")
+_JSON_OPS = (
+    '    {\n      "op": "ins",\n      "pos": %d,\n      "symbol": %s\n    }',
+    '    {\n      "op": "swap",\n      "pos": %d\n    }',
+    '    {\n      "op": "del",\n      "pos": %d\n    }',
+)
+
+
+def _symbol_text(symbol) -> str:
+    # a byte symbol is an int; a text symbol that would break its line,
+    # vanish at its end or read as a quote prints as its JSON string
+    if isinstance(symbol, str) and (
+            symbol.isspace() or not symbol.isprintable() or symbol == '"'):
+        return json.dumps(symbol)
+    return str(symbol)
+
+
+def _script_ops(script, formats, quote) -> List[str]:
+    """One string per op of ``script``, from ``formats`` (ins, swap, del),
+    with each distinct symbol written once by ``quote``."""
+    ins, swap, delete = formats
+    symbols = {}
     out = []
     for op in script.ops:
-        if isinstance(op, Insert):
-            out.append({"op": "ins", "pos": op.position, "symbol": _echo(op.symbol)})
-        elif isinstance(op, Swap):
-            out.append({"op": "swap", "pos": op.position})
-        elif isinstance(op, Delete):
-            out.append({"op": "del", "pos": op.position})
+        kind = type(op)
+        if kind is Insert:
+            symbol = symbols.get(op.symbol)
+            if symbol is None:
+                symbol = symbols[op.symbol] = quote(op.symbol)
+            out.append(ins % (op.position, symbol))
+        elif kind is Swap:
+            out.append(swap % op.position)
+        elif kind is Delete:
+            out.append(delete % op.position)
     return out
 
 
@@ -211,9 +260,14 @@ def _cmd_dist(args, parser) -> int:
         if weighted is not None:
             report["weights"] = {"c_ins": str(args.c_ins), "c_swap": str(args.c_swap)}
             report["weighted_cost"] = _weighted_json(weighted)
+        text = json.dumps(report, indent=2)
         if args.script and result.script is not None:
-            report["script"] = _script_json(result.script)
-        print(json.dumps(report, indent=2))
+            # the script is the last key, its blocks written without the
+            # indenting encoder, which runs in pure Python
+            blocks = ",\n".join(_script_ops(result.script, _JSON_OPS, json.dumps))
+            script = f"[\n{blocks}\n  ]" if blocks else "[]"
+            text = f'{text[:-2]},\n  "script": {script}\n}}'
+        print(text)
     else:
         print(f"distance: {_cost_text(result.distance)}")
         print(f"n: {stats.n}  m: {stats.m}  d: {stats.d}  g: {stats.g}  s: {stats.s}")
@@ -221,11 +275,7 @@ def _cmd_dist(args, parser) -> int:
         if weighted is not None:
             print(f"weighted cost ({args.c_ins}, {args.c_swap}): {_cost_text(weighted)}")
         if args.script and result.script is not None:
-            print("script:")
-            # one line per JSON entry: a byte symbol prints as its integer
-            # value, a text symbol as itself
-            for entry in _script_json(result.script):
-                print(" ".join(map(str, entry.values())))
+            print("\n".join(["script:", *_script_ops(result.script, _TEXT_OPS, _symbol_text)]))
     return 0 if result.distance.is_finite else 2
 
 
@@ -421,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     selftest.set_defaults(handler=_cmd_selftest, parser=selftest)
 
+    parser.commands = commands.choices
     return parser
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from swapinsert import apply_script, correction_distance, Insert, Script, Swap, Delete
-from swapinsert.cli import build_parser, main
+from swapinsert import (apply_script, correction_distance, generate_instance,
+                        swap_delete_correction, Delete, GeneratorSpec, Insert, Script, Swap)
+from swapinsert.cli import _shared_parser, build_parser, main
 from swapinsert.oracles import DEFAULT_BUDGET
 
 
@@ -26,9 +27,12 @@ def parse_script_lines(out):
             continue
         if not in_script:
             continue
-        parts = line.split()
+        # a quoted symbol is a JSON string, and a text symbol has no space
+        parts = line.split(" ", 2)
         if parts[0] == "ins":
-            ops.append(Insert(int(parts[1]), parts[2]))
+            symbol = parts[2]
+            ops.append(Insert(int(parts[1]),
+                              json.loads(symbol) if symbol.startswith('"') else symbol))
         elif parts[0] == "swap":
             ops.append(Swap(int(parts[1])))
         elif parts[0] == "del":
@@ -76,6 +80,63 @@ def test_dist_swap_delete_script_replays(capsys):
     assert code == 0
     script = parse_script_lines(out)
     assert apply_script("aab", script) == "ba"
+
+
+@pytest.mark.parametrize("symbol", [" ", "\t", "\n", '"'])
+def test_script_lines_quote_a_symbol_a_space_split_would_lose(capsys, symbol):
+    source, target = "ab", f"b{symbol}a{symbol}"
+    code, out, _ = run_cli(capsys, "dist", source, target, "--script")
+    assert code == 0
+    lines = out.splitlines()
+    script = parse_script_lines(out)
+    assert len(script) == int(lines[0].split()[1]) == 3
+    quoted = [op for op in script.ops if isinstance(op, Insert)]
+    assert [op.symbol for op in quoted] == [symbol, symbol]
+    for op in quoted:
+        assert f"ins {op.position} {json.dumps(symbol)}" in lines
+    assert apply_script(source, script) == target
+
+
+def _script_entries(script):
+    # each op as a dict, for json.dumps(indent=2) to write the reference
+    out = []
+    for op in script.ops:
+        if isinstance(op, Insert):
+            out.append({"op": "ins", "pos": op.position, "symbol": op.symbol})
+        elif isinstance(op, Swap):
+            out.append({"op": "swap", "pos": op.position})
+        else:
+            out.append({"op": "del", "pos": op.position})
+    return out
+
+
+@pytest.mark.parametrize("source, target, flags", [
+    ("ba", "aab", ()),
+    ("ba", "aab", ("--c-ins", "2", "--c-swap", "3/2")),
+    (b"ba", b"aab", ("--bytes",)),
+    ("aab", "ba", ("--ops", "swap-delete")),
+    ("ab", 'b\\a"é ', ()),
+    ("ab", "ab", ()),
+    ("ab", "ba", ("--ops", "swap-delete", "--bytes")),
+    (*generate_instance(GeneratorSpec(d=4, n=2000, m=2000, profile="zero-g", seed=0)), ()),
+], ids=["str", "weighted", "bytes", "swap-delete", "escaped", "empty",
+        "swap-delete-bytes", "zero-g-2000"])
+def test_json_script_is_the_indenting_encoders_bytes(capsys, source, target, flags):
+    # the report's script is written without json.dumps(indent=2); it must
+    # read byte for byte as the encoder writes the script as a list of dicts
+    argv = [s.decode() if isinstance(s, bytes) else s for s in (source, target)]
+    code, out, _ = run_cli(capsys, "dist", *argv, "--script", "--json", *flags)
+    assert code == 0
+    report = json.loads(out)
+    if "swap-delete" in flags:
+        script = swap_delete_correction(source, target).script
+    else:
+        script = correction_distance(source, target, with_script=True).script
+    assert list(report)[-1] == "script"
+    report["script"] = _script_entries(script)
+    assert out == json.dumps(report, indent=2) + "\n"
+    if not script.ops:
+        assert out.endswith('  "script": []\n}\n')
 
 
 def test_dist_json_round_trip(capsys):
@@ -540,3 +601,54 @@ def test_cli_sweep_matches_committed_outputs(capsys):
         captured = capsys.readouterr()
         assert [str(result), _digest(captured.out), _digest(captured.err)] == [
             code, out, err], argv
+
+
+# -- parsing ----------------------------------------------------------------------
+
+def _full_parse_parser():
+    # a fresh parser that parses every command line through the top-level
+    # subparsers action, as argparse alone does
+    parser = build_parser()
+    parser.commands = {}
+    return parser
+
+
+def _readable(args):
+    # each subcommand's parser object differs between two built parsers
+    return {**vars(args), "parser": args.parser.prog}
+
+
+def test_subcommand_dispatch_parses_as_the_top_level_parser():
+    shared, full = _shared_parser(), _full_parse_parser()
+    for argv in _cli_sweep_argvs():
+        assert _readable(shared.parse_args(argv)) == _readable(full.parse_args(argv)), argv
+
+
+def _outcome(capsys, run):
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["dist"], ["dist", "-h"], ["dist", "a", "b", "--bogus"],
+    ["dist", "a", "b", "extra"], ["dist", "--ops", "zz", "a", "b"],
+    ["dist", "--c-ins", "x", "a", "b"], ["stats", "a", "b", "--script"],
+])
+def test_subcommand_dispatch_prints_as_the_top_level_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def full_parse_main():
+        # main as it read before subcommand dispatch
+        parser = _full_parse_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "handler", None) is None:
+            parser.error("a subcommand is required")
+        return args.handler(args, args.parser)
+
+    expected = _outcome(capsys, full_parse_main)
+    assert _outcome(capsys, lambda: main(argv)) == expected
+    assert expected[0] in (0, 1)
