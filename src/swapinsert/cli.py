@@ -8,7 +8,8 @@ replayable in order.  A byte symbol prints as its integer value.  A text
 symbol prints as itself, unless it is whitespace, not printable, or
 ``"``: then it prints as its JSON string (``" "``, ``"\\n"``,
 ``"\\""``).  A line reads back split at its first two spaces, with a
-symbol that starts with ``"`` parsed as JSON.
+symbol that starts with ``"`` parsed as JSON.  The ``symbol <sym>: ...``
+lines of ``stats`` print each symbol by the same rule.
 """
 
 import argparse
@@ -354,7 +355,7 @@ def _cmd_stats(args, parser) -> int:
     else:
         print(f"n: {stats.n}  m: {stats.m}  d: {stats.d}")
         for idx, sym in enumerate(stats.alphabet.external_symbols):
-            print(f"symbol {sym}: n={stats.n_counts[idx]} "
+            print(f"symbol {_symbol_text(sym)}: n={stats.n_counts[idx]} "
                   f"m={stats.m_counts[idx]} g={stats.g_per_symbol[idx]}")
         print(f"g: {stats.g}  s: {stats.s}")
         print(f"predicted state bound: {stats.predicted_state_bound}")

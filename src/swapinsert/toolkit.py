@@ -6,6 +6,14 @@ profile is controlled, and the bench harness times the engine on them
 and records memo usage against the predicted bound.  ``InstanceStats``
 lives in ``engine``, which returns it on every result; it is re-exported
 here, and ``instance_stats`` reads it for a raw pair.
+
+The generator draws from ``random.Random(spec.seed)``.  Its shuffles
+and whole-code samples are written out as Fisher-Yates and rejection
+loops: a draw below ``k`` is ``getrandbits(k.bit_length())``, redrawn
+while it is ``k`` or more.  These are the draws of ``Random.shuffle``,
+``Random.sample`` and ``Random.randrange`` on CPython 3.10-3.13.  The
+count draws and a code kept in part still call ``Random``'s methods,
+and digests in the tests pin the generated pairs.
 """
 
 import csv
@@ -16,7 +24,7 @@ import statistics
 import string
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .engine import InstanceStats, correction_distance
@@ -234,7 +242,15 @@ def generate_instance(spec: GeneratorSpec) -> Tuple[str, str]:
     The target is a uniformly random arrangement of the drawn per-symbol
     counts; the source keeps a random subset of the target's occurrences
     in order and is then locally shuffled so that swaps do real work.
-    The same spec always produces the same pair.
+    The same spec always produces the same pair, on every supported
+    Python.  Each draw below ``k`` is ``getrandbits(k.bit_length())``,
+    redrawn while it is ``k`` or more, the rule of CPython's
+    ``Random._randbelow``: the target's Fisher-Yates shuffle makes
+    ``Random.shuffle``'s draws, a code kept whole the draws of
+    ``Random.sample`` over all its occurrences, and the local shuffle
+    ``Random.randrange``'s.  A code kept in part still calls
+    ``Random.sample``, over the indices of its occurrences.  Digests in
+    the tests pin the pairs.
     """
     if spec.d < 1:
         raise InfeasibleProfile("need at least one symbol")
@@ -245,26 +261,55 @@ def generate_instance(spec: GeneratorSpec) -> Tuple[str, str]:
     if spec.profile not in PROFILES:
         raise InfeasibleProfile(f"unknown profile {spec.profile!r}")
     rng = random.Random(spec.seed)
+    getrandbits = rng.getrandbits
     n_counts, m_counts = _profile_counts(rng, spec)
     target_list: List[str] = []
     for idx, cnt in enumerate(m_counts):
         target_list.extend(_symbol(idx) * cnt)
-    rng.shuffle(target_list)
-    occurrences: dict = {}
-    for pos, sym in enumerate(target_list):
-        occurrences.setdefault(sym, []).append(pos)
-    kept: List[int] = []
+    # Fisher-Yates, each index drawn below i + 1; i + 1 has one bit
+    # length for every i in [low, 2 * low], so each such run is one loop
+    top = len(target_list) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = (1 << bits - 1) - 1
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            target_list[i], target_list[j] = target_list[j], target_list[i]
+        top = low - 1
+    # a code kept in part marks which of its occurrences, in target order,
+    # the source keeps; a code kept whole costs only its draws
+    marks = {}
+    for idx, (cnt, total) in enumerate(zip(n_counts, m_counts)):
+        if cnt == total:
+            # sample() of a whole population draws below total, ..., 1
+            top = total
+            while top > 0:
+                bits = top.bit_length()
+                low = 1 << bits - 1
+                for size in range(top, low - 1, -1):
+                    while getrandbits(bits) >= size:
+                        pass
+                top = low - 1
+        elif cnt:
+            kept = bytearray(total)
+            for k in rng.sample(range(total), cnt):
+                kept[k] = 1
+            marks[_symbol(idx)] = iter(kept)
     for idx, cnt in enumerate(n_counts):
-        if cnt:
-            kept.extend(rng.sample(occurrences[_symbol(idx)], cnt))
-    kept.sort()
-    source_list = [target_list[pos] for pos in kept]
-    if len(source_list) > 1:
-        # bounded local shuffles; counts are untouched so the pair stays feasible
-        for _ in range(len(source_list)):
-            pos = rng.randrange(len(source_list) - 1)
-            if source_list[pos] != source_list[pos + 1]:
-                source_list[pos], source_list[pos + 1] = source_list[pos + 1], source_list[pos]
+        marks.setdefault(_symbol(idx), repeat(cnt > 0))
+    source_list = list(compress(target_list, map(next, map(marks.__getitem__, target_list))))
+    last = len(source_list) - 1
+    if last > 0:
+        # bounded local shuffles; counts are untouched so the pair stays
+        # feasible, and a swap of equal neighbours changes nothing
+        bits = last.bit_length()
+        for _ in range(last + 1):
+            pos = getrandbits(bits)
+            while pos >= last:
+                pos = getrandbits(bits)
+            source_list[pos], source_list[pos + 1] = source_list[pos + 1], source_list[pos]
     return "".join(source_list), "".join(target_list)
 
 

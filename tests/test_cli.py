@@ -486,6 +486,19 @@ def test_stats_clamps_the_imbalance_of_an_over_supplied_symbol(capsys):
     assert "feasible: no" in out
 
 
+@pytest.mark.parametrize("symbol", [" ", "\t", "\n", '"'])
+def test_stats_lines_quote_a_symbol_as_script_lines_do(capsys, symbol):
+    code, out, _ = run_cli(capsys, "stats", f"a{symbol}", f"{symbol}ab")
+    assert code == 0
+    # one line per symbol; the quoted one reads back as a JSON string
+    lines = [line for line in out.splitlines() if line.startswith("symbol ")]
+    assert len(lines) == 3
+    assert "symbol a: n=1 m=1 g=0" in lines and "symbol b: n=0 m=1 g=0" in lines
+    [quoted] = [line for line in lines if line.startswith('symbol "')]
+    text, _, counts = quoted.removeprefix("symbol ").rpartition(": ")
+    assert (json.loads(text), counts) == (symbol, "n=1 m=1 g=0")
+
+
 @pytest.mark.parametrize("source, target", [("aab", "abbb"), ("a", "é"), ("ccccba", "bcbba")])
 def test_stats_and_dist_agree_on_a_zero_bound_for_an_infeasible_pair(capsys, source, target):
     _, stats_out, _ = run_cli(capsys, "stats", source, target, "--json")

@@ -188,6 +188,85 @@ def test_generated_instances_are_pinned():
     assert digest.hexdigest() == PINNED_DIGEST
 
 
+LARGE_DIGEST = "a25a4d57b16e8524b52574304435a9db7ec0073daaafc0a678e4ebbf35ae1998"
+
+
+def test_generated_instances_are_pinned_at_scale():
+    # the chain-long benchmark's three zero-g specs, which keep every code
+    # whole or absent, and two specs that keep codes in part: recorded
+    # while the generator still called Random.shuffle and Random.randrange
+    specs = [GeneratorSpec(d=4, n=10**5, m=10**5, profile="zero-g", seed=0),
+             GeneratorSpec(d=4, n=10**5, m=120_000, profile="zero-g", seed=0),
+             GeneratorSpec(d=1000, n=10**4, m=10**4, profile="zero-g", seed=0),
+             GeneratorSpec(d=4, n=2000, m=3000, profile="balanced-g", seed=0),
+             GeneratorSpec(d=12, n=2000, m=3000, profile="max-g", seed=3)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        source, target = generate_instance(spec)
+        digest.update(f"{source}|{target}\n".encode())
+    assert digest.hexdigest() == LARGE_DIGEST
+
+
+def _stdlib_generate_instance(spec):
+    # the generator as it read while it called Random.shuffle, sample and
+    # randrange: the reference for the draws it now writes out
+    if spec.d < 1:
+        raise InfeasibleProfile("need at least one symbol")
+    if not 0 <= spec.n <= spec.m:
+        raise InfeasibleProfile("need 0 <= n <= m")
+    if spec.m < spec.d:
+        raise InfeasibleProfile("target too short to use every symbol")
+    if spec.profile not in toolkit.PROFILES:
+        raise InfeasibleProfile(f"unknown profile {spec.profile!r}")
+    rng = random.Random(spec.seed)
+    n_counts, m_counts = toolkit._profile_counts(rng, spec)
+    target_list = []
+    for idx, cnt in enumerate(m_counts):
+        target_list.extend(toolkit._symbol(idx) * cnt)
+    rng.shuffle(target_list)
+    occurrences = {}
+    for pos, sym in enumerate(target_list):
+        occurrences.setdefault(sym, []).append(pos)
+    kept = []
+    for idx, cnt in enumerate(n_counts):
+        if cnt:
+            kept.extend(rng.sample(occurrences[toolkit._symbol(idx)], cnt))
+    kept.sort()
+    source_list = [target_list[pos] for pos in kept]
+    if len(source_list) > 1:
+        for _ in range(len(source_list)):
+            pos = rng.randrange(len(source_list) - 1)
+            if source_list[pos] != source_list[pos + 1]:
+                source_list[pos], source_list[pos + 1] = source_list[pos + 1], source_list[pos]
+    return "".join(source_list), "".join(target_list)
+
+
+def _outcome(generate, spec):
+    try:
+        return generate(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_generator_draws_equal_the_stdlib_methods():
+    # the written-out draws must equal this Python's own shuffle, sample
+    # and randrange, infeasible specs and custom targets included
+    rng = random.Random(25)
+    profiles = (*toolkit.PROFILES, "no-such-profile")
+    for k in range(2000):
+        d = rng.randint(0, 9)
+        m = rng.randint(0, 60)
+        n = rng.randint(-1, m + 1)
+        profile = profiles[k % len(profiles)]
+        g_targets = None
+        if profile == "custom" and rng.random() < 0.9:
+            size = d if rng.random() < 0.9 else rng.randint(0, 9)
+            g_targets = tuple(rng.randint(-1 if rng.random() < 0.05 else 0, 4)
+                              for _ in range(size))
+        spec = GeneratorSpec(d=d, n=n, m=m, profile=profile, seed=k, g_targets=g_targets)
+        assert _outcome(generate_instance, spec) == _outcome(_stdlib_generate_instance, spec), spec
+
+
 def test_infeasible_profiles_rejected():
     with pytest.raises(InfeasibleProfile):
         generate_instance(GeneratorSpec(d=3, n=1, m=2, profile="zero-g", seed=0))
