@@ -14,31 +14,37 @@ state with every source position matched is terminal.
 A pair whose per-symbol imbalance is zero everywhere never has a choice,
 so a forward walk along its one path solves it, with no layer at all;
 that is what makes the equal-length, swap-only case effectively linear.
-The walk flags each source position a swap matches and passes a run of
-flags in one step.  It finds b's next free occurrence by a forward scan
-from past the one a swap last matched for b, so one code's scans read
-each position once, or, for a code rare in the source, in the select
-table, built only once the rare codes' scans have read 4n positions.  A
-swap costs the positions it passes less their flags, counted in C over a
+The walk flags each source position a swap matches and keeps no matched
+count: a target symbol equal to the source's head only moves the head
+past the run of flags that follows, and the target position is read, as
+the head plus the flags past it plus the inserts, only where an op is
+written.  A balanced code present in the source always has a free
+occurrence, which the walk finds by a forward scan from past the one a
+swap last matched for it, so one code's scans read each position once,
+or, for a code rare in the source, by a bisection of the select table,
+built only once the rare codes' scans have read 4n positions.  A swap
+costs the positions it passes less their flags, counted in C over a
 short span, from the last count when the span moved little, else from
 per-block counts of about sqrt(n) positions, so no step's cost grows
-with d.  Any other pair first runs a sweep over target positions whose
-key holds the k_a of the imbalanced codes only: a balanced code's count
-is fixed by q, and its matched positions sit in
-one Fenwick tree the layer's states share.  The key is one int: each k_a
-has a bit field n_a.bit_length() wide, and their sum, the state's
-matched total, sits in a field above them all, so the total is
-``key >> top``, and a match child is ``key + step`` with one step per
-imbalanced code.  A match of b's next free occurrence r then costs
-r - 1, less the tree's matched positions before r, less the matched
-total, plus one for each of the imbalanced codes' matched occurrences
-that lies past r.  A solve's first sweep counts those codes' occurrences
-before each r in one pass over the source, and each imbalanced code
-keeps the tree's part of its match costs by matched count from layer
-to layer until a balanced match changes the tree.  On a layer whose
-code is balanced a state has one move and keeps its key: the match,
-when the code occurs in the source, else the insert.  A layer lies in
-a box of the product of (g_a + 1) states,
+with d.  Where the walk follows a sweep's layers, it reads an imbalanced
+code's matched count, and so a state's key, by bisecting the sweep's
+match table at the first position that may be free.  Any other pair
+first runs a sweep over target positions whose key holds the k_a of the
+imbalanced codes only: a balanced code's count is fixed by q, and its
+matched positions sit in one Fenwick tree the layer's states share.  The
+key is one int: each k_a has a bit field n_a.bit_length() wide, and
+their sum, the state's matched total, sits in a field above them all, so
+the total is ``key >> top``, and a match child is ``key + step`` with
+one step per imbalanced code.  A match of b's next free occurrence r
+then costs r - 1, less the tree's matched positions before r, less the
+matched total, plus one for each of the imbalanced codes' matched
+occurrences that lies past r.  A solve's first sweep counts those codes'
+occurrences before each r in one pass over the source, and each
+imbalanced code keeps the tree's part of its match costs by matched
+count from layer to layer until a balanced match changes the tree.  On a
+layer whose code is balanced a state has one move and keeps its key: the
+match, when the code occurs in the source, else the insert.  A layer
+lies in a box of the product of (g_a + 1) states,
 ``InstanceStats.layer_bound``, which the sweep checks for each layer it
 builds, and the states priced stay within the paper's adaptive bound
 ``memo_bound``, which every solve checks.  Each state carries its cost
@@ -87,6 +93,7 @@ unreachable is settled before any solve, and comes back without a script
 from every entry point.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import inf, prod
 from operator import itemgetter
@@ -485,41 +492,39 @@ class _Computation:
                 layer[key] = value
         return layers[0][0]
 
-    def _key(self, k: List[int]) -> int:
-        # the sweep's key of the matched counts k, indexed by code
-        key = total = 0
-        for a, at in zip(self.imbalanced, self.shift):
-            key |= k[a] << at
-            total += k[a]
-        return total << self.top | key
-
     def _walk(self, ops: Optional[List]) -> int:
         # One path through the sweep's states, from the start state,
-        # appending the script to ``ops`` when given.  ``k[a]`` counts the
-        # matched source a's, always the first ones, and every source
-        # position before p is matched; a position that a swap matched is
-        # flagged in ``swapped``, and p passes a run of flags in one step.
-        # b's next free occurrence r is found by a forward scan of the
-        # source from past the occurrence a swap last matched for b, or
-        # from p, so the scans of one code read each position at most once;
-        # a code with fewer than one occurrence in ``_SCAN`` positions reads
-        # the select table instead, once the scans of such codes have read
-        # ``_SCANNED`` * n positions.  A swap costs
-        # r - p less the flags in [p, r): counted directly over a span of
-        # at most ``window`` positions, from the previous count when the
-        # span's ends moved by at most that much, else from the flags'
-        # per-block counts.  Equal
-        # heads are the sweep's forced zero-cost match; elsewhere at most
-        # one move applies, except where the insert test and a free source
-        # b both hold: there the sweep's layers pick the cheaper child, a
-        # match child the bound dropped reading as +inf, and a tie goes to
-        # the insert.  Without layers (no imbalanced symbol) such a state
-        # must not occur.  Positions p, q and r are 0-based.
+        # appending the script to ``ops`` when given.  Every source position
+        # before p is matched, and a position past it that a swap matched
+        # is flagged in ``swapped``; p is never flagged, so an equal head
+        # a, the sweep's forced zero-cost match, moves p past the run of
+        # flags that follows and reads the next head; past the end only
+        # inserts remain, and an empty source's head 0 equals no code.  No
+        # matched count is kept: a code's matched source occurrences are
+        # its first ones, those before max(p, starts[b]), with ``starts``
+        # past the occurrence a swap last matched for b; target position q
+        # is p plus the flags past p plus the inserts, kept as their sum
+        # ``ahead``, and is read only where an op is written or the layers
+        # are.  A balanced code present in the source always has a free
+        # occurrence, found by a forward scan from max(p, starts[b]), so one
+        # code's scans read each position at most once; a code with fewer
+        # than one occurrence in ``_SCAN`` positions bisects the select
+        # table instead, once the scans of such codes have read ``_SCANNED``
+        # * n positions.  A code absent from the source is inserted.  An
+        # imbalanced code bisects the sweep's match table for its matched
+        # count, which lists the next occurrence; where the insert test
+        # holds too, the state's key is read the same way, and the sweep's
+        # layers pick the cheaper child, a match child the bound dropped
+        # reading as +inf, and a tie goes to the insert.  Without layers (no
+        # imbalanced symbol) such a state must not occur.  A swap costs r - p
+        # less the flags in [p, r): counted directly over a span of at most
+        # ``window`` positions, from the previous count when the span's ends
+        # moved by at most that much, else from the flags' per-block counts.
+        # Positions p, q and r are 0-based.
         n, m, d = self.n, self.m, self.stats.d
         layers = self.layers
         s_syms = self.source.symbols
-        l_syms = self.target.symbols
-        spare, slot = self.spare, self.slot
+        spare, step, matches = self.spare, self.step, self.matches
         raw = self.source.alphabet.external_symbols
         counts = (0,) + self.stats.n_counts
         rare = [count * _SCAN < n for count in counts]
@@ -535,44 +540,51 @@ class _Computation:
         blocks = [0] * ((n >> shift) + 1)
         count, find, index = swapped.count, swapped.find, s_syms.index
         last_p = last_r = last_count = 0  # the previous count's span and value
-        k = [0] * (d + 1)
         inserted = [0] * (d + 1)
-        p = q = total = 0
-        while True:
-            if p == n:
-                if ops is not None:
-                    ops.extend(map(Insert, range(q + 1, m + 1),
-                                   [raw[code - 1] for code in l_syms[q:]]))
-                return total + (m - q)
-            if q == m:
-                if sum(k) < n:
-                    raise RuntimeError("internal error: the walk left a source position unmatched")
-                return total
-            if swapped[p]:
-                p = find(0, p)
-                continue
-            a = s_syms[p]
-            b = l_syms[q]
+        p = ahead = total = 0
+        a = s_syms[0] if n else 0
+        for b in self.target.symbols:
             if a == b:
-                k[a] += 1
                 p += 1
-                q += 1
+                if swapped[p]:
+                    r = find(0, p)
+                    ahead -= r - p
+                    p = r
+                try:
+                    a = s_syms[p]
+                except IndexError:
+                    # every source position is matched: only inserts remain
+                    break
                 continue
-            kb = k[b]
-            # with no free b left in the source the insert test holds
-            swap = kb < counts[b]
+            start = starts[b]
+            if start < p:
+                start = p
+            swap = spare[b] <= 0
             if swap:
+                # a balanced code: one of its free occurrences is b's
                 if rare[b] and table is not None:
-                    r = table[b - 1][kb] - 1
+                    r = table[b - 1][bisect_right(table[b - 1], start)] - 1
                 else:
-                    start = starts[b]
-                    if start < p:
-                        start = p
                     r = index(b, start)
                     if rare[b]:
                         budget -= r - start
                         if budget < 0:
                             table = self.source.select_table
+            elif counts[b]:
+                if matches is None:
+                    # no sweep ran, as for a pair told it has no imbalance:
+                    # the count still comes from the sweep's table
+                    matches = self.matches = self._match_table()
+                occurrences = matches[b]
+                # (start + 1,) sorts after each entry (r, crossings) with a
+                # 1-based r <= start and before the rest: the occurrences
+                # before 0-based start, b's matched count
+                kb = bisect_left(occurrences, (start + 1,))
+                # with no free b left in the source the insert test holds
+                swap = kb < counts[b]
+                if swap:
+                    r = occurrences[kb][0] - 1
+            if swap:
                 edge = r - p
                 if edge <= window:
                     # p is free, so a span of one position holds no flag
@@ -595,24 +607,36 @@ class _Computation:
                         raise RuntimeError(
                             "branching state reached in a zero-imbalance instance"
                         )
-                    key = self._key(k)
-                    following = layers[q + 1]
-                    swap = (edge + following.get(key + self.step[slot[b]], inf)
+                    key = 0
+                    for u, step_u in zip(self.imbalanced, step):
+                        at = starts[u]
+                        if at < p:
+                            at = p
+                        key += step_u * bisect_left(matches[u], (at + 1,))
+                    following = layers[p + ahead + 1]
+                    swap = (edge + following.get(key + step[self.slot[b]], inf)
                             < 1 + following[key])
             if swap:
                 if ops is not None:
+                    q = p + ahead
                     ops.extend(map(Swap, range(q + edge, q, -1)))
                 total += edge
-                k[b] = kb + 1
                 swapped[r] = 1
                 blocks[r >> shift] += 1
                 starts[b] = r + 1
             else:
                 if ops is not None:
-                    ops.append(Insert(q + 1, raw[b - 1]))
+                    ops.append(Insert(p + ahead + 1, raw[b - 1]))
                 total += 1
                 inserted[b] += 1
-            q += 1
+            ahead += 1
+        if p < n:
+            raise RuntimeError("internal error: the walk left a source position unmatched")
+        q = p + ahead
+        if ops is not None:
+            ops.extend(map(Insert, range(q + 1, m + 1),
+                           [raw[code - 1] for code in self.target.symbols[q:]]))
+        return total + (m - q)
 
     def solve(self, ops: Optional[List] = None) -> int:
         """Distance of the whole pair, which the caller has found feasible.

@@ -21,14 +21,16 @@ one memchr-fast ``find`` per possible symbol, 128 or 256, and orders them
 by first occurrence.  ``AlphabetMap.encode`` codes the string with
 ``translate`` through a 256-byte table cached on the map, while every
 code fits a byte (d < 256); the table follows the select table's sharing
-rule.  An index counts such coded bytes with one ``bytes.count`` per
-code, for d up to ``_COUNTED``.  Any other input keeps the generic code,
-dictionary lookups and a pass over the codes, with the same codes,
-counts and errors: a shorter string, a ``str`` with a non-ASCII symbol,
-any other sequence, and for the alphabet a pair that mixes ``str`` and
-``bytes``.  ``IndexedString.symbols`` is a tuple of ints either way:
-the zero-imbalance walk scans it with ``tuple.index``, which ran about
-15 % faster than on ``bytes`` symbols on a d = 4, n = 10**5 pair.
+rule.  An index counts such coded bytes, for d up to ``_COUNTED``, with
+one ``bytes.count`` for each of the first d - 1 codes, and gives the
+last code what they leave of the length.  Any other input keeps the
+generic code, dictionary lookups and a pass over the codes, with the
+same codes, counts and errors: a shorter string, a ``str`` with a
+non-ASCII symbol, any other sequence, and for the alphabet a pair that
+mixes ``str`` and ``bytes``.  ``IndexedString.symbols`` is a tuple of
+ints either way: the zero-imbalance walk scans it with ``tuple.index``,
+which ran about 15 % faster than on ``bytes`` symbols on a d = 4,
+n = 10**5 pair.
 """
 
 from bisect import bisect_left, bisect_right
@@ -165,7 +167,8 @@ class IndexedString:
     """A coded string with its per-code counts and occurrence positions.
 
     ``symbols`` holds the codes as a tuple, given as a tuple or as bytes;
-    bytes over at most ``_COUNTED`` codes are counted in C.
+    bytes over at most ``_COUNTED`` codes are counted in C, all but the
+    last code, whose count is what the others leave of the length.
     ``per_symbol_count`` lists, per code, its number of occurrences.
     ``select_table`` lists, per code, the 1-based positions of its
     occurrences in order, so it holds n positions however large the
@@ -178,8 +181,12 @@ class IndexedString:
         self.alphabet = alphabet
         self.symbols = tuple(symbols)
         d = alphabet.d
-        if type(symbols) is bytes and d <= _COUNTED:
-            self.per_symbol_count = list(map(symbols.count, range(1, d + 1)))
+        if type(symbols) is bytes and 0 < d <= _COUNTED:
+            # every byte is a code, so the last code's count is what the
+            # others leave of the length
+            counts = list(map(symbols.count, range(1, d)))
+            counts.append(len(symbols) - sum(counts))
+            self.per_symbol_count = counts
         else:
             counts = [0] * (d + 1)
             for code in self.symbols:

@@ -18,6 +18,7 @@ and digests in the tests pin the generated pairs.
 
 import csv
 import gc
+import heapq
 import json
 import random
 import statistics
@@ -91,10 +92,13 @@ def _nudge_counts(rng: random.Random, n_counts: List[int], m_counts: List[int],
 
     With ``maximize_g`` each step picks the move that keeps the global
     imbalance, then the total imbalance, as high as possible; otherwise a
-    random movable index is taken.
+    random movable index is taken.  A move changes one code's imbalance,
+    so its score comes from that change and the two largest per-code
+    imbalances, in O(d) per step.
     """
     d = len(n_counts)
     diff = target_sum - sum(n_counts)
+    gs = [_g_after(nc, mc) for nc, mc in zip(n_counts, m_counts)]
     while diff != 0:
         step = 1 if diff > 0 else -1
         movable = [
@@ -104,17 +108,23 @@ def _nudge_counts(rng: random.Random, n_counts: List[int], m_counts: List[int],
         if not movable:
             raise InfeasibleProfile("cannot reach the requested source length")
         if maximize_g:
-            def score(idx):
-                trial = n_counts.copy()
-                trial[idx] += step
-                gs = [_g_after(nc, mc) for nc, mc in zip(trial, m_counts)]
-                return (max(gs), sum(gs))
-            scores = [score(idx) for idx in movable]
+            # the largest imbalance of the other codes is the second largest
+            # for a code that holds the largest, else the largest; every
+            # imbalance is at least 0, which stands in for a missing second.
+            # Every move starts from one total imbalance, so its own change
+            # ranks the totals after the moves
+            top, second = heapq.nlargest(2, gs + [0])
+            scores = []
+            for idx in movable:
+                after = _g_after(n_counts[idx] + step, m_counts[idx])
+                others = second if gs[idx] == top else top
+                scores.append((max(after, others), after - gs[idx]))
             best = max(scores)
             choice = rng.choice([idx for idx, sc in zip(movable, scores) if sc == best])
         else:
             choice = rng.choice(movable)
         n_counts[choice] += step
+        gs[choice] = _g_after(n_counts[choice], m_counts[choice])
         diff -= step
 
 

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from swapinsert import (apply_script, correction_distance, generate_instance,
-                        swap_delete_correction, Delete, GeneratorSpec, Insert, Script, Swap)
+from swapinsert import (apply_script, cli, correction_distance, generate_instance,
+                        swap_delete_correction, Cost, Delete, GeneratorSpec, Insert, Script,
+                        Swap)
 from swapinsert.cli import _shared_parser, build_parser, main
 from swapinsert.oracles import DEFAULT_BUDGET
 
@@ -397,6 +399,32 @@ def test_oracle_budget_exit_3(capsys):
                            "--budget", "5")
     assert code == 3
     assert "too large" in err
+
+
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    # a uniform-cost search that reads one more than the truth, on the
+    # unweighted solve or on the weighted one only, is a disagreement
+    exact = cli.ucs_distance
+
+    def off_by_one(source, target, weights=None, **kwargs):
+        cost = exact(source, target, weights, **kwargs)
+        return Cost.finite(cost.value + 1) if weights == wrong else cost
+    monkeypatch.setattr(cli, "ucs_distance", off_by_one)
+    for wrong, weights, line in (
+            (None, (), "engine=2 ucs=3 matching=2 DISAGREE\n"),
+            ((2, 3), ("--c-ins", "2", "--c-swap", "3"),
+             "engine=2 ucs=2 matching=2 DISAGREE weighted_engine=5 weighted_ucs=6\n")):
+        assert run_cli(capsys, "oracle", "ba", "aab", *weights) == (1, line, "")
+
+
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
+    # the console script calls main() with no argument: the command line
+    # after the program name is parsed, as a list given to main would be
+    monkeypatch.setattr(sys, "argv", ["swapinsert", "dist", "ba", "aab", "--json"])
+    code = main()
+    out = capsys.readouterr().out
+    assert (code, out) == run_cli(capsys, "dist", "ba", "aab", "--json")[:2]
+    assert json.loads(out)["distance"] == 2
 
 
 @pytest.mark.parametrize("command", ["oracle", "selftest"])

@@ -33,6 +33,7 @@ from swapinsert import (
 )
 from swapinsert import engine
 from swapinsert.engine import _Computation
+from swapinsert.indexing import MAX_ALPHABET, AlphabetMap, AlphabetTooLarge
 
 from conftest import random_feasible_pair, random_pair
 
@@ -535,6 +536,33 @@ def test_large_alphabet_zero_imbalance_matches_forced_matching():
         assert apply_script(source, script) == target
         # the walk alone solves it: no layer is built
         assert not comp.layers
+
+
+def test_zero_imbalance_pair_over_exactly_max_alphabet_symbols():
+    # the largest alphabet the map takes, and one symbol more that it
+    # refuses; a pair over all of its symbols, each once, is solved by the
+    # walk at the forced matching's distance, its inversion count
+    symbols = [chr(0x10000 + code) for code in range(MAX_ALPHABET + 1)]
+    assert AlphabetMap(symbols[:MAX_ALPHABET]).d == MAX_ALPHABET
+    with pytest.raises(AlphabetTooLarge):
+        AlphabetMap(symbols)
+    rng = random.Random(28)
+    target = symbols[:MAX_ALPHABET]
+    rng.shuffle(target)
+    source = target.copy()
+    for _ in range(1000):
+        at = rng.randrange(len(source) - 1)
+        source[at], source[at + 1] = source[at + 1], source[at]
+    where = {symbol: pos for pos, symbol in enumerate(target)}
+    expected = _inversions([where[symbol] for symbol in source])[0]
+    source, target = "".join(source), "".join(target)
+    S, L = indexed_pair(source, target)
+    comp = _Computation(S, L, InstanceStats.of(S, L))
+    assert (comp.stats.d, comp.stats.s) == (MAX_ALPHABET, 0)
+    ops = []
+    assert comp.solve(ops) == expected
+    assert not comp.layers
+    assert apply_script(source, Script(tuple(ops))) == target
 
 
 def test_walk_builds_the_select_table_only_after_long_scans():

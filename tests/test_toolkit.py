@@ -267,6 +267,51 @@ def test_generator_draws_equal_the_stdlib_methods():
         assert _outcome(generate_instance, spec) == _outcome(_stdlib_generate_instance, spec), spec
 
 
+def _quadratic_nudge_counts(rng, n_counts, m_counts, target_sum, maximize_g):
+    # max-g's nudge as it read while it scored each candidate move on the
+    # whole list of imbalances after it, O(d^2) per step: the reference for
+    # the scores it now reads off the two largest imbalances and each
+    # move's own change
+    assert maximize_g
+    d = len(n_counts)
+    diff = target_sum - sum(n_counts)
+    while diff != 0:
+        step = 1 if diff > 0 else -1
+        movable = [idx for idx in range(d) if 0 <= n_counts[idx] + step <= m_counts[idx]]
+        if not movable:
+            raise InfeasibleProfile("cannot reach the requested source length")
+        gs = [min(nc, mc - nc) for nc, mc in zip(n_counts, m_counts)]
+
+        def score(idx):
+            trial = gs.copy()
+            nc = n_counts[idx] + step
+            trial[idx] = min(nc, m_counts[idx] - nc)
+            return max(trial), sum(trial)
+        scores = [score(idx) for idx in movable]
+        best = max(scores)
+        n_counts[rng.choice([idx for idx, sc in zip(movable, scores) if sc == best])] += step
+        diff -= step
+
+
+def test_max_g_nudge_equals_the_quadratic_rescoring():
+    # from max-g's starting counts, the kept imbalances must pick the same
+    # moves from the same draws, and leave the stream where it left it;
+    # 1,000 specs make about 28,000 moves in about 1 s
+    specs = random.Random(28)
+    for k in range(1000):
+        d = specs.randint(1, 40)
+        m = specs.randint(d, 200)
+        n = specs.randint(0, m)
+        outcomes = []
+        for nudge in (_quadratic_nudge_counts, toolkit._nudge_counts):
+            rng = random.Random(k)
+            m_counts = toolkit._composition(rng, m, d)
+            n_counts = [mc // 2 for mc in m_counts]
+            nudge(rng, n_counts, m_counts, n, maximize_g=True)
+            outcomes.append((n_counts, rng.getrandbits(32)))
+        assert outcomes[0] == outcomes[1], (d, n, m, k)
+
+
 def test_infeasible_profiles_rejected():
     with pytest.raises(InfeasibleProfile):
         generate_instance(GeneratorSpec(d=3, n=1, m=2, profile="zero-g", seed=0))
