@@ -517,10 +517,12 @@ class _Computation:
         # layers pick the cheaper child, a match child the bound dropped
         # reading as +inf, and a tie goes to the insert.  Without layers (no
         # imbalanced symbol) such a state must not occur.  A swap costs r - p
-        # less the flags in [p, r): counted directly over a span of at most
-        # ``window`` positions, from the previous count when the span's ends
-        # moved by at most that much, else from the flags' per-block counts.
-        # Positions p, q and r are 0-based.
+        # less the flags in [p, r), where p and r are free: read at p + 1 for
+        # a span of two, counted directly over a span of at most ``window``
+        # positions, from the previous count when the span's ends moved by
+        # at most that much, else from the flags' per-block counts, counted
+        # once at the first such span and kept from then on.  Positions p,
+        # q and r are 0-based.
         n, m, d = self.n, self.m, self.stats.d
         layers = self.layers
         s_syms = self.source.symbols
@@ -537,7 +539,7 @@ class _Computation:
         shift = n.bit_length() >> 1
         window = 1 << shift
         swapped = bytearray(n + 1)  # the 0 at n ends every run of flags
-        blocks = [0] * ((n >> shift) + 1)
+        blocks = None  # per-block flag counts, built when first read
         count, find, index = swapped.count, swapped.find, s_syms.index
         last_p = last_r = last_count = 0  # the previous count's span and value
         inserted = [0] * (d + 1)
@@ -586,9 +588,11 @@ class _Computation:
                     r = occurrences[kb][0] - 1
             if swap:
                 edge = r - p
-                if edge <= window:
-                    # p is free, so a span of one position holds no flag
-                    flagged = count(1, p, r) if edge > 1 else 0
+                if edge <= 2:
+                    # p and r are free, so only p + 1 may hold a flag
+                    flagged = swapped[p + 1]
+                elif edge <= window:
+                    flagged = count(1, p, r)
                 elif p - last_p + abs(r - last_r) <= window:
                     flagged = last_count - count(1, last_p, p)
                     if r < last_r:
@@ -596,6 +600,8 @@ class _Computation:
                     else:
                         flagged += count(1, last_r, r)
                 else:
+                    if blocks is None:
+                        blocks = [count(1, at, at + window) for at in range(0, n + 1, window)]
                     lo, hi = (p >> shift) + 1, r >> shift
                     flagged = (count(1, p, lo << shift) + sum(blocks[lo:hi])
                                + count(1, hi << shift, r))
@@ -622,7 +628,8 @@ class _Computation:
                     ops.extend(map(Swap, range(q + edge, q, -1)))
                 total += edge
                 swapped[r] = 1
-                blocks[r >> shift] += 1
+                if blocks is not None:
+                    blocks[r >> shift] += 1
                 starts[b] = r + 1
             else:
                 if ops is not None:
