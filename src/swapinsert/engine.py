@@ -517,12 +517,12 @@ class _Computation:
         # layers pick the cheaper child, a match child the bound dropped
         # reading as +inf, and a tie goes to the insert.  Without layers (no
         # imbalanced symbol) such a state must not occur.  A swap costs r - p
-        # less the flags in [p, r), where p and r are free: read at p + 1 for
-        # a span of two, counted directly over a span of at most ``window``
-        # positions, from the previous count when the span's ends moved by
-        # at most that much, else from the flags' per-block counts, counted
-        # once at the first such span and kept from then on.  Positions p,
-        # q and r are 0-based.
+        # less the flags in [p, r), where p and r are free: read at p + 1
+        # for a span of at most two, counted directly over one of at most
+        # ``window`` positions, from the previous count when the span's ends
+        # moved by at most that much, else from the flags' per-block counts,
+        # counted once at the first such span and kept from then on.
+        # Positions p, q and r are 0-based.
         n, m, d = self.n, self.m, self.stats.d
         layers = self.layers
         s_syms = self.source.symbols
